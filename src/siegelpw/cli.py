@@ -282,7 +282,9 @@ def _csv_number(value):
 
 @dataclass(frozen=True)
 class CheckData:
-    """What a check callable reports back before harness bookkeeping."""
+    """What a check callable reports back before harness bookkeeping.  ``metric``
+    is ``"error"`` (relative or absolute: the only kind ``--tol`` overrides),
+    ``"z-score"``, ``"count"`` or ``"bound-ratio"`` (an error over its bound)."""
 
     lhs: complex
     rhs: complex
@@ -290,6 +292,7 @@ class CheckData:
     tolerance: float
     fast_tolerance: float | None = None
     rules: str = "exact arithmetic"
+    metric: str = "error"
 
 
 @dataclass(frozen=True)
@@ -408,7 +411,7 @@ def _check_fock_kernel_truncation(cfg: SuiteConfig, rng) -> CheckData:
         floor = 5e-14 * max(1.0, abs(closed))  # rounding allowance under the bound
         worst_ratio = max(worst_ratio, abs(closed - partial) / (bound + floor))
     return CheckData(
-        abs(closed - partial), bound, worst_ratio, 1.0, rules="series truncation bound"
+        abs(closed - partial), bound, worst_ratio, 1.0, rules="series truncation bound", metric="bound-ratio"
     )
 
 
@@ -418,7 +421,7 @@ def _check_fock_truncation_budget(cfg: SuiteConfig, rng) -> CheckData:
         degree = fk.suggested_truncation(lam, radius, tol)
         x = 0.5 * abs(lam) * radius * radius
         worst = max(worst, fk.kernel_tail_bound(degree, x) / tol)
-    return CheckData(worst, 1.0, worst, 1.0, rules="series truncation bound")
+    return CheckData(worst, 1.0, worst, 1.0, rules="series truncation bound", metric="bound-ratio")
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +483,9 @@ def _check_bargmann_projection_tail(cfg: SuiteConfig, rng) -> CheckData:
         row = bg.p0_row(lam, a, trunc)
         deficit = 1.0 - fk.norm_sq(row)
         bound = bg.p0_tail_deficit_bound(lam, a, degree)
-        worst = max(worst, deficit / bound if bound > 0 else deficit)
-    return CheckData(deficit, bound, worst, 1.0, rules="series truncation bound")
+        floor = 5e-14  # rounding allowance of the unit-norm sum under the bound
+        worst = max(worst, deficit / (bound + floor))
+    return CheckData(deficit, bound, worst, 1.0, rules="series truncation bound", metric="bound-ratio")
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +717,7 @@ def _check_kernels_qpower_mc(cfg: SuiteConfig, rng) -> CheckData:
         )
         worst = max(worst, abs(estimate - constant) / (3.0 * stderr))
     return CheckData(
-        estimate, constant, worst, 1.0, rules=f"importance sampling, {samples} draws"
+        estimate, constant, worst, 1.0, rules=f"importance sampling, {samples} draws", metric="z-score"
     )
 
 
@@ -725,7 +729,7 @@ def _check_kernels_qpower_divergence(cfg: SuiteConfig, rng) -> CheckData:
             failures += 1.0
         except DivergentIntegralError:
             pass
-    return CheckData(failures, 0.0, failures, 0.5, rules="divergence dichotomy")
+    return CheckData(failures, 0.0, failures, 0.5, rules="divergence dichotomy", metric="count")
 
 
 # ---------------------------------------------------------------------------
@@ -880,7 +884,7 @@ def _check_da_sphere_mc(cfg: SuiteConfig, rng) -> CheckData:
     expected = da.sphere_monomial_moment(alpha)
     return CheckData(
         mean, expected, abs(mean - expected) / (3.0 * stderr), 1.0,
-        rules=f"uniform sphere sampling, {samples} draws",
+        rules=f"uniform sphere sampling, {samples} draws", metric="z-score",
     )
 
 
@@ -995,7 +999,7 @@ def _run_check(spec: CheckSpec, cfg: SuiteConfig) -> CheckResult:
     tolerance = data.tolerance
     if cfg.fast and data.fast_tolerance is not None:
         tolerance = data.fast_tolerance
-    if cfg.tol is not None and math.isfinite(tolerance):
+    if cfg.tol is not None and data.metric == "error" and math.isfinite(tolerance):
         tolerance = cfg.tol
     return CheckResult(
         check_id=spec.check_id,

@@ -8,8 +8,8 @@ kernels with principal-branch bookkeeping, carries every normalization as an
 exact :class:`~siegelpw.gammaexpr.GammaExpression`, and packages the checks
 the verification suites are built from:
 
-* reproducing-property checks, by the spectral transform or by chart
-  quadrature with norm polarization,
+* reproducing-property checks, by the spectral transform or by a direct
+  chart-quadrature inner product,
 * the renormalized invariance identity of the dotted logarithmic kernel
   under half-space automorphisms,
 * the ball/half-space transfer comparison through the rational ball map,
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -397,7 +397,7 @@ def space_tag_for(kid: KernelId):
 
 
 # ---------------------------------------------------------------------------
-# Linear combinations and polarized inner products
+# Linear combinations and chart inner products
 # ---------------------------------------------------------------------------
 
 #: Quadrature layout for products of kernel slices anchored at different
@@ -458,24 +458,13 @@ class FunctionCombination:
 
 
 def space_inner_product(F, G, tag, rules: sp.ChartNormRules | None = None) -> complex:
-    """Inner product in the tagged space by norm polarization.
-
-    Four squared norms of the combinations ``F + cG`` (``c`` in ``{1, -1, i,
-    -i}``) recover the inner product, linear in ``F`` and conjugate-linear in
-    ``G``.  The tail-drift guard of the quadrature layout runs on the first
-    (dominant) combination only; the near-cancelling combinations reuse the
-    validated layout, where a relative drift ratio would be meaningless.
+    """Inner product ``<F, G>`` in the tagged space, linear in ``F`` and
+    conjugate-linear in ``G``: the off-diagonal entry of the pair's Gram matrix
+    (:func:`siegelpw.spectral.space_gram`).  One streamed chart pass evaluates
+    each function once per grid block; the tail-drift guard adds a stretched
+    pass and watches ``||F + G||^2``.
     """
-    base = rules or KERNEL_QUADRATURE_RULES
-    unguarded = replace(base, check_tails=False)
-
-    def norm_sq(coeff: complex, check_rules) -> float:
-        combo = FunctionCombination(((1.0 + 0.0j, F), (coeff, G)))
-        return sp.space_norm_sq(combo, tag, check_rules)
-
-    real_part = 0.25 * (norm_sq(1.0 + 0.0j, base) - norm_sq(-1.0 + 0.0j, unguarded))
-    imag_part = 0.25 * (norm_sq(1.0j, unguarded) - norm_sq(-1.0j, unguarded))
-    return complex(real_part, imag_part)
+    return complex(sp.space_gram([F, G], tag, rules or KERNEL_QUADRATURE_RULES)[0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +485,7 @@ def reproducing_check(
     ``<K(., omega0), K(., zeta)> = K(zeta, omega0)`` in the kernel's space.
 
     ``method='spectral'`` pairs the two slice transforms on the spectral
-    side; ``method='quadrature'`` polarizes the chart-quadrature norm
+    side; ``method='quadrature'`` takes the chart-quadrature inner product
     (``rules`` defaults to :data:`KERNEL_QUADRATURE_RULES`).
     """
     if isinstance(kid, BallDirichlet):

@@ -16,18 +16,18 @@ space as ``f ↦ ⟨f, v(λ)⟩ e_0``, so the field is stored through its vector
 * synthesis back to the domain (:func:`synthesize`,
   :func:`synthesize_dirichlet`), with resolution estimated by node-count
   doubling;
-* holomorphic-space norms over the domain chart
-  (:func:`space_norm_sq`) by tensor-product quadrature, including the
-  boundary-limit norm via geometrically shrinking height slices and
-  Richardson extrapolation, so both sides of each norm identity can be
-  produced independently and compared.
+* holomorphic-space norms and Gram matrices over the domain chart
+  (:func:`space_norm_sq`, :func:`space_gram`) by streamed tensor-product
+  quadrature, including the boundary-limit norm via geometrically shrinking
+  height slices and Richardson extrapolation, so both sides of each norm
+  identity can be produced independently and compared.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
@@ -73,6 +73,7 @@ __all__ = [
     "norm_identity_constant",
     "ChartNormRules",
     "hardy_slice_norms",
+    "space_gram",
     "space_norm_sq",
     "profile_to_json",
     "profile_from_json",
@@ -1348,6 +1349,8 @@ class ChartNormRules:
     space's weight exactly near 0 and an exponential-stretch far field.  Tail
     drift monitoring recomputes the integral with the far fields pushed
     outward and flags growth (divergence) or disagreement (under-resolution).
+    The grid is streamed in blocks of about a million points, so
+    ``max_points`` bounds the work of one pass, not its memory.
     """
 
     radial_scale: float = 1.2
@@ -1415,16 +1418,30 @@ def _volume_axes(n: int, height_beta: float | None, rules: ChartNormRules) -> li
     return axes
 
 
-def _contract(values: np.ndarray, axes: Sequence[_quad.Axis1D]) -> float:
-    total = values
-    for axis in reversed(axes):
-        total = np.tensordot(total, axis.weights, axes=([-1], [0]))
-    return float(total)
+#: Points per streamed block of a chart grid (whole leading-axis nodes), so a
+#: chart pass needs the same memory whatever the rule's total size.
+_BLOCK_POINTS = 1_000_000
 
 
-def _volume_integral(
-    G, n: int, height_beta: float | None, rules: ChartNormRules, fixed_height: float | None = None
-) -> float:
+def _accumulate(gram: np.ndarray, weights, values: Sequence[np.ndarray]) -> None:
+    """Add ``sum(weights * f_j * conj(f_k))`` to ``gram[j, k]``; separate real
+    products make the imaginary part of ``<f, f>`` exactly zero."""
+    for j, a in enumerate(values):
+        for k in range(j, len(values)):
+            b = values[k]
+            re = np.sum(weights * (a.real * b.real + a.imag * b.imag))
+            im = 0.0 if k == j else np.sum(weights * (a.imag * b.real - a.real * b.imag))
+            gram[j, k] += complex(re, im)
+            if k != j:
+                gram[k, j] += complex(re, -im)
+
+
+def _chart_gram(
+    functions, n: int, height_beta: float | None, rules: ChartNormRules, fixed_height: float | None = None
+) -> np.ndarray:
+    """Weighted Gram matrix ``M[j, k] = sum w f_j conj(f_k)`` over the chart
+    grid, in one pass over blocks of the leading axis: each block evaluates
+    every function once and is contracted against its tensor weights."""
     axes = _volume_axes(n, height_beta, rules)
     box = _quad.BoxRule(tuple(axes))
     if box.point_count > rules.max_points:
@@ -1433,26 +1450,32 @@ def _volume_integral(
             "reduce the per-axis orders (see ChartNormRules.smoke())"
         )
     grids = box.grids()
-    z_components = [grids[j] * np.exp(1j * grids[n + j]) for j in range(n)]
-    t_grid = grids[2 * n]
-    h_grid = grids[2 * n + 1] if height_beta is not None else fixed_height
-    values = G.chart_values(z_components, t_grid, h_grid)
-    integrand = np.abs(values) ** 2
-    full_shape = tuple(axis.node_count for axis in axes)
-    integrand = np.broadcast_to(integrand, full_shape)
-    return _contract(np.ascontiguousarray(integrand), axes)
+    rest_weights = reduce(np.multiply.outer, [axis.weights for axis in axes[1:]])
+    step = max(1, _BLOCK_POINTS // rest_weights.size)
+    gram = np.zeros((len(functions), len(functions)), dtype=np.complex128)
+    for start in range(0, axes[0].node_count, step):
+        block = [grids[0][start : start + step]] + grids[1:]
+        z_components = [block[j] * np.exp(1j * block[n + j]) for j in range(n)]
+        h_grid = block[2 * n + 1] if height_beta is not None else fixed_height
+        weights = axes[0].weights[start : start + step].reshape(block[0].shape) * rest_weights
+        values = [np.asarray(F.chart_values(z_components, block[2 * n], h_grid)) for F in functions]
+        _accumulate(gram, weights, values)
+    return gram
 
 
-def _checked_volume(
-    G, n: int, height_beta: float | None, rules: ChartNormRules, fixed_height: float | None = None
-) -> float:
-    value = _volume_integral(G, n, height_beta, rules, fixed_height)
+def _checked_gram(
+    functions, n: int, height_beta: float | None, rules: ChartNormRules, fixed_height: float | None = None
+) -> np.ndarray:
+    """Chart Gram matrix with the tail-drift guard on the squared norm of the
+    functions' sum, ``sum_jk M[j, k]``, from the base and stretched rules."""
+    gram = _chart_gram(functions, n, height_beta, rules, fixed_height)
     if not rules.check_tails:
-        return value
-    stretched = _volume_integral(G, n, height_beta, rules.stretched(), fixed_height)
-    drift = abs(stretched - value) / max(abs(value), abs(stretched), 1e-300)
+        return gram
+    stretched = _chart_gram(functions, n, height_beta, rules.stretched(), fixed_height)
+    value, stretched_value = float(gram.sum().real), float(stretched.sum().real)
+    drift = abs(stretched_value - value) / max(abs(value), abs(stretched_value), 1e-300)
     if drift > rules.drift_tolerance:
-        if stretched > value * (1.0 + rules.drift_tolerance):
+        if stretched_value > value * (1.0 + rules.drift_tolerance):
             raise DivergentIntegralError(
                 "chart integral grows as the far-field panels are pushed outward "
                 f"(drift {drift:.3e}); the norm diverges for this function/space pair"
@@ -1460,7 +1483,18 @@ def _checked_volume(
         raise UnderResolvedError(
             f"chart integral unresolved: far-field stretch moved the value by {drift:.3e}"
         )
-    return value
+    return gram
+
+
+def _slice_grams(functions: Sequence, rules: ChartNormRules) -> list[tuple[float, np.ndarray]]:
+    if rules.hardy_levels < 2:
+        raise InvalidParameterError("need at least two slice levels")
+    out = []
+    for k in range(rules.hardy_levels):
+        height = rules.hardy_start_height * 2.0**-k
+        slice_rules = rules if k == 0 else replace(rules, check_tails=False)
+        out.append((height, _checked_gram(functions, functions[0].n, None, slice_rules, height)))
+    return out
 
 
 def hardy_slice_norms(F, rules: ChartNormRules | None = None) -> list[tuple[float, float]]:
@@ -1470,19 +1504,10 @@ def hardy_slice_norms(F, rules: ChartNormRules | None = None) -> list[tuple[floa
     each step; for functions with a boundary-limit norm the values increase
     as the height shrinks and converge to the squared norm.
     """
-    rules = rules or ChartNormRules()
-    if rules.hardy_levels < 2:
-        raise InvalidParameterError("need at least two slice levels")
-    out = []
-    for k in range(rules.hardy_levels):
-        height = rules.hardy_start_height * 2.0**-k
-        slice_rules = rules if k == 0 else replace(rules, check_tails=False)
-        value = _checked_volume(F, F.n, None, slice_rules, fixed_height=height)
-        out.append((height, value))
-    return out
+    return [(height, float(gram[0, 0].real)) for height, gram in _slice_grams([F], rules or ChartNormRules())]
 
 
-def _richardson_limit(slice_values: Sequence[float]) -> float:
+def _richardson_limit(slice_values: Sequence):
     table = [list(slice_values)]
     level = len(slice_values)
     for j in range(1, level):
@@ -1494,31 +1519,36 @@ def _richardson_limit(slice_values: Sequence[float]) -> float:
     return table[-1][-1]
 
 
-def space_norm_sq(F, tag: SpaceTag, rules: ChartNormRules | None = None) -> float:
-    """Squared norm of a chart-evaluable function in the tagged holomorphic
-    space, by tensor-product chart quadrature.
+def space_gram(functions: Sequence, tag: SpaceTag, rules: ChartNormRules | None = None) -> np.ndarray:
+    """Gram matrix ``M[j, k] = <F_j, F_k>`` of chart-evaluable functions in
+    the tagged holomorphic space, by tensor-product chart quadrature.
 
-    Volume-type tags integrate the squared order-``m`` height derivative
-    against the height weight; the endpoint tag adds the squared value at the
-    distinguished center; the boundary-limit tag extrapolates the
-    geometrically shrinking height slices (Richardson).
+    Volume-type tags integrate products of the order-``m`` height derivatives
+    against the height weight; the endpoint tag adds the product of the values
+    at the distinguished center; the boundary-limit tag extrapolates the Gram
+    matrices of shrinking height slices (Richardson, linear, entry by entry).
     """
-    if not hasattr(F, "chart_values"):
+    if not functions or not all(hasattr(F, "chart_values") for F in functions):
         raise InvalidParameterError(
             "F must be chart-evaluable (ProfileFunction or PointwiseFunction)"
         )
     rules = rules or ChartNormRules()
-    n = F.n
+    n = functions[0].n
     height_beta, order, _, add_center = _tag_data(tag, n)
     if isinstance(tag, Hardy):
-        slices = hardy_slice_norms(F, rules)
-        return _richardson_limit([value for _, value in slices])
-    G = F.height_derivative(order) if order else F
-    total = _checked_volume(G, n, height_beta, rules)
+        return _richardson_limit([gram for _, gram in _slice_grams(functions, rules)])
+    derived = [F.height_derivative(order) if order else F for F in functions]
+    gram = _checked_gram(derived, n, height_beta, rules)
     if add_center:
         center = [np.asarray(0.0 + 0.0j) for _ in range(n)]
-        total += float(abs(complex(F.chart_values(center, 0.0, 1.0))) ** 2)
-    return total
+        _accumulate(gram, 1.0, [np.asarray(F.chart_values(center, 0.0, 1.0)) for F in functions])
+    return gram
+
+
+def space_norm_sq(F, tag: SpaceTag, rules: ChartNormRules | None = None) -> float:
+    """Squared norm of a chart-evaluable function in the tagged holomorphic
+    space: the one-function case of :func:`space_gram`."""
+    return float(space_gram([F], tag, rules)[0, 0].real)
 
 
 # --------------------------------------------------------------------------

@@ -1,0 +1,160 @@
+"""Tests for the ``siegelpw`` command line: exit codes, config-file merging,
+report shapes and the scope of ``--tol``.
+
+Only suites without chart grids run here (``group``, ``fock``,
+``drury-arveson``), so the whole file takes seconds.
+"""
+
+import csv
+import io
+import json
+
+import pytest
+
+import siegelpw.cli as cli
+
+ROW_KEYS = {"id", "anchor", "lhs", "rhs", "rel_error", "tolerance", "passed", "rules", "seconds"}
+
+
+def run_verify(tmp_path, *flags):
+    out = tmp_path / "report.json"
+    code = cli.main(["verify", *flags, "--out", str(out)])
+    return code, (json.loads(out.read_text()) if out.exists() else None)
+
+
+def write_config(tmp_path, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestExitCodes:
+    def test_passing_suite_exits_zero(self, tmp_path):
+        code, report = run_verify(tmp_path, "--suite", "group")
+        assert code == 0
+        assert report["passed"] is True
+
+    def test_failing_check_exits_one(self, tmp_path):
+        # Rounding errors of about 1e-16 cannot meet a 1e-17 error tolerance.
+        code, report = run_verify(tmp_path, "--suite", "group", "--tol", "1e-17")
+        assert code == 1
+        assert report["passed"] is False
+        assert all(row["tolerance"] == 1e-17 for row in report["checks"])
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"suite": "no-such-suite"}, {"n": 3}, {"unknown-key": 1}, {"seed": "seven"}, ["suite"]],
+    )
+    def test_bad_config_exits_two(self, tmp_path, capsys, doc):
+        code, report = run_verify(tmp_path, "--config", write_config(tmp_path, doc))
+        assert code == 2
+        assert report is None
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unreadable_config_exits_two(self, tmp_path):
+        code, _ = run_verify(tmp_path, "--config", str(tmp_path / "missing.json"))
+        assert code == 2
+
+    def test_bad_flag_value_exits_two(self, tmp_path):
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["verify", "--suite", "no-such-suite"])
+        assert stop.value.code == 2
+
+
+class TestConfigMerging:
+    def test_file_values_apply(self, tmp_path):
+        config = write_config(tmp_path, {"suite": "group", "seed": 5, "pairs": 3, "fast": True})
+        code, report = run_verify(tmp_path, "--config", config)
+        assert code == 0
+        assert report["suite"] == "group"
+        assert report["config"]["seed"] == 5
+        assert report["config"]["pairs"] == 3
+        assert report["config"]["fast"] is True
+
+    def test_command_line_overrides_the_file(self, tmp_path):
+        config = write_config(tmp_path, {"suite": "fock", "seed": 5, "pairs": 3, "tol": 1e-20})
+        code, report = run_verify(
+            tmp_path, "--config", config, "--suite", "group", "--seed", "7", "--tol", "0.5"
+        )
+        assert code == 0
+        assert report["suite"] == "group"
+        assert report["config"]["seed"] == 7
+        assert report["config"]["pairs"] == 3
+        assert report["config"]["tol"] == 0.5
+
+    def test_integer_tolerance_in_the_file_is_accepted(self, tmp_path):
+        config = write_config(tmp_path, {"suite": "group", "tol": 1})
+        code, report = run_verify(tmp_path, "--config", config)
+        assert code == 0
+        assert report["config"]["tol"] == 1.0
+
+
+class TestReportShape:
+    def test_json_and_csv_agree(self, tmp_path):
+        csv_path = tmp_path / "report.csv"
+        code, report = run_verify(tmp_path, "--suite", "fock", "--csv", str(csv_path))
+        assert code == 0
+        assert set(report) == {"suite", "config", "passed", "checks"}
+        assert set(report["config"]) == {"n", "nu", "m", "tol", "seed", "pairs", "fast", "jobs"}
+        ids = [row["id"] for row in report["checks"]]
+        assert ids == sorted(ids) == [spec.check_id for spec in sorted(
+            cli.SUITES["fock"], key=lambda spec: spec.check_id
+        )]
+        for row in report["checks"]:
+            assert set(row) == ROW_KEYS
+            assert row["passed"] == (row["rel_error"] <= row["tolerance"])
+        rows = list(csv.reader(io.StringIO(csv_path.read_text())))
+        assert rows[0] == [
+            "id", "anchor", "lhs", "rhs", "rel_error", "tolerance", "passed", "rules", "seconds",
+        ]
+        assert [row[0] for row in rows[1:]] == ids
+        assert {row[6] for row in rows[1:]} == {"pass"}
+
+    def test_gnuplot_lines(self, tmp_path):
+        path = tmp_path / "report.dat"
+        code, report = run_verify(tmp_path, "--suite", "group", "--emit-gnuplot", str(path))
+        assert code == 0
+        lines = path.read_text().splitlines()
+        assert lines[0].startswith("# suite group seed 0 n 1")
+        assert len(lines) == 2 + len(report["checks"])
+
+
+class TestToleranceOverride:
+    def test_tol_leaves_z_scores_and_bound_ratios_alone(self, tmp_path):
+        code, report = run_verify(tmp_path, "--suite", "drury-arveson", "--tol", "1e-3")
+        rows = {row["id"]: row for row in report["checks"]}
+        assert code == 0
+        assert rows["da-sphere-moment-mc"]["tolerance"] == 1.0
+        assert rows["da-sphere-moment-mc"]["passed"] is True
+        assert rows["da-monomial-identity"]["tolerance"] == 1e-3
+
+        code, report = run_verify(tmp_path, "--suite", "fock", "--tol", "1e-3")
+        rows = {row["id"]: row for row in report["checks"]}
+        assert code == 0
+        assert rows["fock-kernel-truncation"]["tolerance"] == 1.0
+        assert rows["fock-truncation-budget"]["tolerance"] == 1.0
+        assert rows["fock-pairing-orthogonality"]["tolerance"] == 1e-3
+
+    @pytest.mark.parametrize(
+        "check_id, tolerance",
+        [("kernels-power-integral-mc", 1.0), ("kernels-power-integral-divergence", 0.5)],
+    )
+    def test_tol_leaves_kernel_z_score_and_count_alone(self, check_id, tolerance):
+        spec = next(spec for spec in cli.SUITES["kernels"] if spec.check_id == check_id)
+        result = cli._run_check(spec, cli.SuiteConfig(fast=True, tol=1e-12))
+        assert result.tolerance == tolerance
+        assert result.passed
+
+
+class TestProjectionTail:
+    def test_rounding_deficit_under_a_tiny_bound_passes(self):
+        # Seed 8 draws an element whose vacuum-row deficit is one rounding
+        # unit (1.1e-16) while the analytic tail bound is 5.4e-22.
+        cfg = cli.SuiteConfig(seed=8)
+        data = cli._check_bargmann_projection_tail(
+            cfg, cli._check_rng(cfg, "bargmann-projection-tail")
+        )
+        assert data.lhs == pytest.approx(1.1102230246251565e-16, rel=1e-6)
+        assert data.rhs == pytest.approx(5.399455382921829e-22, rel=1e-6)
+        assert data.metric == "bound-ratio"
+        assert data.rel_error <= data.tolerance == 1.0

@@ -22,6 +22,7 @@ from siegelpw.errors import (
     DivergentIntegralError,
     InvalidParameterError,
     KernelDomainError,
+    UnderResolvedError,
 )
 from siegelpw.quadrature import power_ratio_integral
 from siegelpw.siegel import (
@@ -578,6 +579,80 @@ class TestReproducingQuadrature:
         scaled_F = kr.FunctionCombination((((0.5 + 2.0j), F),))
         scaled = kr.space_inner_product(scaled_F, G, tag)
         assert scaled == pytest.approx((0.5 + 2.0j) * forward, rel=1e-10)
+
+
+#: Coarse layout: enough to compare two ways of computing the same sums.
+SMALL_RULES = sp.ChartNormRules(
+    radial_panels=1,
+    radial_order=5,
+    angle_count=6,
+    t_panels=1,
+    t_order=6,
+    h_panels=1,
+    h_order=6,
+    h_tail_panels=1,
+    h_tail_order=5,
+    check_tails=False,
+)
+
+DIRECT_CASES = [
+    (kr.Bergman(0.0), sp.Bergman(0.0)),
+    (kr.DirichletLog(2), sp.Dirichlet(2)),
+    (kr.Szego(), sp.Hardy()),
+]
+
+
+def polarized_inner_product(F, G, tag, rules):
+    """Four squared norms of F + cG, c in {1, -1, i, -i}."""
+
+    def norm_sq(c):
+        return sp.space_norm_sq(kr.FunctionCombination(((1.0, F), (c, G))), tag, rules)
+
+    return 0.25 * (norm_sq(1.0) - norm_sq(-1.0)) + 0.25j * (norm_sq(1.0j) - norm_sq(-1.0j))
+
+
+class TestDirectInnerProduct:
+    def _pair(self, kid):
+        rng = np.random.default_rng(31)
+        return (kr.kernel_slice(kid, rand_interior(rng, 1)) for _ in range(2))
+
+    @pytest.mark.parametrize("kid, tag", DIRECT_CASES)
+    def test_matches_norm_polarization(self, kid, tag):
+        F, G = self._pair(kid)
+        direct = kr.space_inner_product(F, G, tag, SMALL_RULES)
+        polarized = polarized_inner_product(F, G, tag, SMALL_RULES)
+        scale = sp.space_norm_sq(F, tag, SMALL_RULES) + sp.space_norm_sq(G, tag, SMALL_RULES)
+        assert abs(direct.imag) > 1e-3 * scale  # a genuinely complex product
+        assert abs(direct - polarized) < 1e-12 * scale
+
+    def test_center_term_is_the_product_of_center_values(self):
+        # The full logarithmic slices both equal one at the center, so the
+        # endpoint product exceeds the derivative part alone by exactly one.
+        F, G = self._pair(kr.DirichletLog(2))
+        full = kr.space_inner_product(F, G, sp.Dirichlet(2), SMALL_RULES)
+        volume = sp.space_gram(
+            [F.height_derivative(2), G.height_derivative(2)], sp.Bergman(1.0), SMALL_RULES
+        )[0, 1]
+        assert full - volume == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "kid, tag, error",
+        [
+            (kr.Bergman(0.0), sp.Bergman(0.0), UnderResolvedError),
+            (kr.Szego(), sp.Bergman(3.0), DivergentIntegralError),
+            (kr.DirichletLog(2), sp.Dirichlet(2), UnderResolvedError),
+            (kr.Szego(), sp.Hardy(), UnderResolvedError),
+        ],
+    )
+    def test_drift_guard_watches_the_sum(self, kid, tag, error):
+        # The guard decides on ||F + G||^2 exactly as a guarded norm of the
+        # combination does.
+        rules = dataclasses.replace(SMALL_RULES, check_tails=True)
+        F, G = self._pair(kid)
+        with pytest.raises(error):
+            kr.space_inner_product(F, G, tag, rules)
+        with pytest.raises(error):
+            sp.space_norm_sq(kr.FunctionCombination(((1.0, F), (1.0, G))), tag, rules)
 
 
 # ---------------------------------------------------------------------------

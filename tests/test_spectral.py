@@ -9,6 +9,7 @@ from independent code paths.
 import cmath
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -843,6 +844,98 @@ class TestChartNorms:
         F = sp.ProfileFunction(sp.KernelProfile(1, -1.0, base_point(1)))
         with pytest.raises(InvalidParameterError):
             sp.hardy_slice_norms(F, sp.ChartNormRules(hardy_levels=1))
+
+
+class HeightOnly:
+    """Chart function of the height alone: its values broadcast along the
+    other axes instead of filling the grid."""
+
+    n = 1
+
+    def chart_values(self, z_components, t, h):
+        return np.asarray(np.exp(-np.asarray(h)) + 0.5j)
+
+
+def full_grid_gram(functions, height_beta, rules, fixed_height=None):
+    """One-shot reference: evaluate every function on the whole tensor grid
+    and contract each product f_j conj(f_k) one axis at a time."""
+    axes = sp._volume_axes(1, height_beta, rules)
+    grids = quad.BoxRule(tuple(axes)).grids()
+    z = [grids[0] * np.exp(1j * grids[1])]
+    h = grids[3] if height_beta is not None else fixed_height
+    shape = tuple(axis.node_count for axis in axes)
+    values = [np.broadcast_to(F.chart_values(z, grids[2], h), shape) for F in functions]
+    out = np.empty((len(functions), len(functions)), dtype=complex)
+    for j, a in enumerate(values):
+        for k, b in enumerate(values):
+            total = a * np.conj(b)
+            for axis in reversed(axes):
+                total = np.tensordot(total, axis.weights, axes=([-1], [0]))
+            out[j, k] = complex(total)
+    return out
+
+
+class TestStreamedGram:
+    FUNCTIONS = (
+        sp.ProfileFunction(sp.KernelProfile(1, 0.0, GENERIC_BASE_1)),
+        sp.ProfileFunction(sp.KernelProfile(1, 0.0, point([-0.2 + 0.4j], 0.5, 1.3))),
+        sp.ProfileFunction(sp.FiniteProfile(1, ()), 0.75 - 0.4j),
+        HeightOnly(),
+    )
+
+    @pytest.mark.parametrize("leading_nodes_per_block", [1, 2, 5])
+    @pytest.mark.parametrize("height_beta, fixed_height", [(0.0, None), (1.5, None), (None, 0.4)])
+    def test_matches_full_grid_contraction(
+        self, monkeypatch, leading_nodes_per_block, height_beta, fixed_height
+    ):
+        # TINY_RULES has 5 radial (leading) nodes, so blocks of 2 leave a
+        # remainder block of 1.
+        axes = sp._volume_axes(1, height_beta, TINY_RULES)
+        per_node = math.prod(axis.node_count for axis in axes[1:])
+        monkeypatch.setattr(sp, "_BLOCK_POINTS", leading_nodes_per_block * per_node)
+        got = sp._chart_gram(self.FUNCTIONS, 1, height_beta, TINY_RULES, fixed_height)
+        expected = full_grid_gram(self.FUNCTIONS, height_beta, TINY_RULES, fixed_height)
+        scale = np.sqrt(np.outer(np.diag(expected).real, np.diag(expected).real))
+        assert np.all(np.abs(got - expected) <= 1e-12 * scale)
+        assert np.all(np.diag(got).imag == 0.0)
+        assert np.array_equal(got, got.conj().T)
+
+    def test_each_function_is_evaluated_once_per_block(self, monkeypatch):
+        calls = []
+
+        class Counted(HeightOnly):
+            def chart_values(self, z_components, t, h):
+                calls.append(np.shape(z_components[0])[0])
+                return super().chart_values(z_components, t, h)
+
+        axes = sp._volume_axes(1, 0.0, TINY_RULES)
+        monkeypatch.setattr(sp, "_BLOCK_POINTS", 2 * math.prod(a.node_count for a in axes[1:]))
+        sp._chart_gram([Counted(), Counted()], 1, 0.0, TINY_RULES)
+        assert calls == [2, 2, 2, 2, 1, 1]
+
+    def test_norm_is_the_gram_diagonal(self):
+        F, G = self.FUNCTIONS[:2]
+        gram = sp.space_gram([F, G], sp.Bergman(0.0), TINY_RULES)
+        assert gram[0, 0] == sp.space_norm_sq(F, sp.Bergman(0.0), TINY_RULES)
+        assert gram[1, 1] == sp.space_norm_sq(G, sp.Bergman(0.0), TINY_RULES)
+
+    def test_block_memory_does_not_grow_with_the_rule(self):
+        # Peak traced allocation of a 14 M-point pass stays near that of
+        # one 1 M-point block, far below one complex value per grid point.
+        rules = sp.ChartNormRules(
+            radial_panels=4, radial_order=16, t_panels=7, t_order=16,
+            h_tail_panels=5, h_tail_order=16, check_tails=False,
+        )
+        F = HeightOnly()
+        tracemalloc.start()
+        try:
+            sp._chart_gram([F], 1, 0.0, rules)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        points = math.prod(axis.node_count for axis in sp._volume_axes(1, 0.0, rules))
+        assert points > 10_000_000
+        assert peak < 64e6 < 16 * points
 
 
 class TestScalingAndGrowth:
