@@ -6,7 +6,7 @@ Modules
 -------
 quadrature      Gauss rules (half-line, Gaussian, mapped boxes) and Monte Carlo.
 heisenberg      The boundary group: product, norm, balls, dilations.
-siegel          Domain geometry: points, charts, automorphisms, tents, the ball.
+siegel          Domain geometry: points, charts, automorphisms, the ball.
 fock            Truncated holomorphic L^2 spaces of entire functions.
 bargmann        The unitary boundary-group action on those spaces.
 spectral        Rank-one spectral data, synthesis, and space norms.

@@ -30,7 +30,6 @@ from .fock import (
     basis_values,
     fock_quadrature_rule,
     kernel_tail_bound,
-    monomial_norm_sq,
 )
 from .heisenberg import HeisenbergElement
 
@@ -282,22 +281,3 @@ def dsigma_check(
     else:
         raise InvalidParameterError(f"unknown field {field!r}")
     return float(np.max(np.abs(got - expected)))
-
-
-def matrix_to_bytes(m: RepMatrix) -> bytes:
-    """Dense dump: row-major, little-endian (re, im) pairs of binary64."""
-    return np.ascontiguousarray(m.entries.astype("<c16")).tobytes()
-
-
-def matrix_from_bytes(
-    lam: float, a: HeisenbergElement, trunc: FockTruncation, raw: bytes
-) -> RepMatrix:
-    dim = trunc.dim
-    flat = np.frombuffer(raw, dtype="<c16")
-    if flat.shape[0] != dim * dim:
-        raise InvalidParameterError(
-            f"buffer holds {flat.shape[0]} entries, expected {dim * dim}"
-        )
-    return RepMatrix(
-        lam=lam, element=a, truncation=trunc, entries=flat.reshape(dim, dim)
-    )

@@ -14,7 +14,6 @@ the file.  Exit codes: 0 all checks passed, 1 at least one check failed,
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import io
 import json
@@ -23,7 +22,7 @@ import sys
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -33,7 +32,6 @@ from . import drury_arveson as da
 from . import fock as fk
 from . import heisenberg as hb
 from . import kernels as kr
-from . import quadrature as quad
 from . import spectral as sp
 from .errors import (
     ConfigError,
@@ -41,7 +39,6 @@ from .errors import (
     InvalidParameterError,
     SiegelPWError,
 )
-from .gammaexpr import paley_wiener_constant
 from .siegel import (
     BallPoint,
     Dilation,
@@ -50,14 +47,11 @@ from .siegel import (
     Inversion,
     SiegelPoint,
     Unitary,
-    apply,
     ball_point_from_json,
     base_point,
-    cayley,
     chart_from_json,
     point_from_json,
     psi_inv,
-    rho,
 )
 
 __all__ = [
@@ -493,47 +487,35 @@ def _check_bargmann_projection_tail(cfg: SuiteConfig, rng) -> CheckData:
 # ---------------------------------------------------------------------------
 
 
+def _chart_identity(
+    profile: sp.SpectralProfile, tag: sp.SpaceTag, rules: sp.ChartNormRules
+) -> CheckData:
+    """Chart norm of the profile's synthesis against the tag's constant times
+    its weighted spectral norm."""
+    volume = sp.space_norm_sq(sp.ProfileFunction(profile), tag, rules)
+    weight = sp.spectral_weight(tag, profile.n)
+    spectral = sp.norm_identity_constant(tag, profile.n).value * sp.l2nu_norm_sq(profile, weight)
+    return CheckData(volume, spectral, _rel(volume, spectral), 1e-3, 2e-2, _rules_label(rules))
+
+
 def _check_pw_volume_identity(cfg: SuiteConfig, rng) -> CheckData:
-    rules = _chart_rules(cfg)
     base = _rand_interior(rng, cfg.n, spread=0.4)
-    profile = sp.KernelProfile(cfg.n, cfg.nu, base)
-    F = sp.ProfileFunction(profile)
-    volume = sp.space_norm_sq(F, sp.Bergman(cfg.nu), rules)
-    constant = sp.norm_identity_constant(sp.Bergman(cfg.nu), cfg.n).value
-    spectral = constant * sp.l2nu_norm_sq(profile, cfg.nu)
-    return CheckData(
-        volume, spectral, _rel(volume, spectral), 1e-3, 2e-2, _rules_label(rules)
-    )
+    return _chart_identity(sp.KernelProfile(cfg.n, cfg.nu, base), sp.Bergman(cfg.nu), _chart_rules(cfg))
 
 
 def _check_pw_volume_identity_finite(cfg: SuiteConfig, rng) -> CheckData:
-    rules = _chart_rules(cfg)
     terms = (
         sp.FiniteTerm((0,) * cfg.n, 1.0, 0.0, 1.0),
         sp.FiniteTerm((2,) + (0,) * (cfg.n - 1), -0.2 + 0.5j, 0.5, 0.7),
     )
-    profile = sp.FiniteProfile(cfg.n, terms)
-    F = sp.ProfileFunction(profile)
-    volume = sp.space_norm_sq(F, sp.Bergman(cfg.nu), rules)
-    constant = sp.norm_identity_constant(sp.Bergman(cfg.nu), cfg.n).value
-    spectral = constant * sp.l2nu_norm_sq(profile, cfg.nu)
-    return CheckData(
-        volume, spectral, _rel(volume, spectral), 1e-3, 2e-2, _rules_label(rules)
-    )
+    return _chart_identity(sp.FiniteProfile(cfg.n, terms), sp.Bergman(cfg.nu), _chart_rules(cfg))
 
 
 def _check_pw_derivative_identity(cfg: SuiteConfig, rng) -> CheckData:
-    rules = _chart_rules(cfg, reinforced=True)
     nu = -1.5 if cfg.n == 1 else -2.5
     base = _rand_interior(rng, cfg.n, spread=0.3)
     profile = sp.KernelProfile(cfg.n, nu, base, 1)
-    F = sp.ProfileFunction(profile)
-    volume = sp.space_norm_sq(F, sp.WeightedDirichlet(nu, 1), rules)
-    constant = sp.norm_identity_constant(sp.WeightedDirichlet(nu, 1), cfg.n).value
-    spectral = constant * sp.l2nu_norm_sq(profile, nu)
-    return CheckData(
-        volume, spectral, _rel(volume, spectral), 1e-3, 2e-2, _rules_label(rules)
-    )
+    return _chart_identity(profile, sp.WeightedDirichlet(nu, 1), _chart_rules(cfg, reinforced=True))
 
 
 def _check_pw_m_independence_quadrature(cfg: SuiteConfig, rng) -> CheckData:
@@ -546,7 +528,7 @@ def _check_pw_m_independence_quadrature(cfg: SuiteConfig, rng) -> CheckData:
     worst = 0.0
     for m in (1, 2):
         volume = sp.space_norm_sq(F, sp.WeightedDirichlet(nu, m), rules)
-        constant = paley_wiener_constant(cfg.n, m, nu).value
+        constant = sp.norm_identity_constant(sp.WeightedDirichlet(nu, m), cfg.n).value
         worst = max(worst, _rel(volume, constant * spectral))
     return CheckData(
         volume, constant * spectral, worst, 1e-3, 2e-2, _rules_label(rules)
@@ -564,26 +546,19 @@ def _check_pw_m_independence_spectral(cfg: SuiteConfig, rng) -> CheckData:
         cases = [(-3.0, 2), (-3.0, 3), (-2.5, 1), (-2.5, 2)]
     worst = 0.0
     for nu, m in cases:
+        kid = kr.WeightedDirichlet(nu, m)
         profile = sp.KernelProfile(cfg.n, nu, base, m)
-        constant = paley_wiener_constant(cfg.n, m, nu).value
-        lhs = constant * sp.l2nu_norm_sq(profile, nu)
-        rhs = kr.kernel_eval(kr.WeightedDirichlet(nu, m), base, base).real
+        lhs = sp.norm_identity_constant(kid, cfg.n).value * sp.l2nu_norm_sq(profile, nu)
+        rhs = kr.kernel_eval(kid, base, base).real
         worst = max(worst, _rel(lhs, rhs))
     return CheckData(lhs, rhs, worst, 1e-10, rules="weighted spectral quadrature")
 
 
 def _check_pw_endpoint_identity(cfg: SuiteConfig, rng) -> CheckData:
-    rules = _chart_rules(cfg, reinforced=True)
     m = max(cfg.m, 2) if cfg.n == 1 else 2
     base = _rand_interior(rng, cfg.n, spread=0.3)
     profile = sp.DirichletKernelProfile(cfg.n, m, base)
-    F = sp.ProfileFunction(profile)
-    volume = sp.space_norm_sq(F, sp.Dirichlet(m), rules)
-    constant = paley_wiener_constant(cfg.n, m, -(cfg.n + 2.0)).value
-    spectral = constant * sp.l2nu_norm_sq(profile, -(cfg.n + 2.0))
-    return CheckData(
-        volume, spectral, _rel(volume, spectral), 1e-3, 2e-2, _rules_label(rules)
-    )
+    return _chart_identity(profile, sp.Dirichlet(m), _chart_rules(cfg, reinforced=True))
 
 
 def _check_pw_endpoint_center(cfg: SuiteConfig, rng) -> CheckData:
@@ -601,11 +576,10 @@ def _check_pw_hardy_slices(cfg: SuiteConfig, rng) -> CheckData:
     base = _rand_interior(rng, cfg.n, spread=0.3, h_lo=0.7, h_hi=1.3)
     profile = sp.KernelProfile(cfg.n, -1.0, base)
     F = sp.ProfileFunction(profile)
-    slices = sp.hardy_slice_norms(F, rules)
-    values = [value for _, value in slices]
+    values = [value for _, value in sp.hardy_slice_norms(F, rules)]
     if not all(b > a for a, b in zip(values, values[1:])):
         return CheckData(values[-1], values[0], math.inf, 2e-4, 5e-3, _rules_label(rules))
-    limit = sp.space_norm_sq(F, sp.Hardy(), rules)
+    limit = sp._richardson_limit(values)
     spectral = sp.l2nu_norm_sq(profile, -1.0)
     return CheckData(
         limit, spectral, _rel(limit, spectral), 2e-4, 5e-3, _rules_label(rules)
@@ -1031,7 +1005,7 @@ def run_suite(name: str, config: SuiteConfig | None = None) -> SuiteReport:
 
 
 # ---------------------------------------------------------------------------
-# Point / kernel-id decoding for the eval commands
+# Point / descriptor decoding for the eval commands
 # ---------------------------------------------------------------------------
 
 
@@ -1061,48 +1035,28 @@ def _point_from_any_json(doc: dict):
 
 
 _KERNEL_ID_NAMES = ("szego", "bergman", "weighted-dirichlet", "dirichlet-log", "ball-dirichlet")
-
-
-def _kernel_id_from_args(name: str, nu: float | None, m: int | None, dotted: bool):
-    if name == "szego":
-        return kr.Szego()
-    if name == "bergman":
-        return kr.Bergman(0.0 if nu is None else nu)
-    if name == "weighted-dirichlet":
-        if nu is None or m is None:
-            raise ConfigError(
-                "the derivative-weighted kernel needs both --nu and --m"
-            )
-        return kr.WeightedDirichlet(nu, m)
-    if name == "dirichlet-log":
-        return kr.DirichletLog(2 if m is None else m, dotted=dotted)
-    if name == "ball-dirichlet":
-        return kr.BallDirichlet()
-    raise ConfigError(
-        f"unknown kernel id {name!r}; choose from {', '.join(_KERNEL_ID_NAMES)}"
-    )
-
-
 _SPACE_NAMES = ("hardy", "bergman", "weighted-dirichlet", "drury-arveson", "dirichlet")
 
 
-def _space_tag_from_args(name: str, nu: float | None, m: int | None, n: int):
-    if name == "hardy":
+def _space_from_args(name: str, nu: float | None, m: int | None, dotted: bool = False):
+    """Descriptor named by a kernel id or a space name (both vocabularies name
+    the same spaces; ``ball-dirichlet`` is the one kernel without a space)."""
+    if name in ("szego", "hardy"):
         return sp.Hardy()
     if name == "bergman":
         return sp.Bergman(0.0 if nu is None else nu)
     if name == "weighted-dirichlet":
         if nu is None or m is None:
-            raise ConfigError(
-                "the derivative-weighted space needs both --nu and --m"
-            )
+            raise ConfigError("the derivative-weighted space needs both --nu and --m")
         return sp.WeightedDirichlet(nu, m)
     if name == "drury-arveson":
         return sp.DruryArveson(1 if m is None else m)
-    if name == "dirichlet":
-        return sp.Dirichlet(2 if m is None else m)
+    if name in ("dirichlet-log", "dirichlet"):
+        return sp.Dirichlet(2 if m is None else m, dotted)
+    if name == "ball-dirichlet":
+        return kr.BallDirichlet()
     raise ConfigError(
-        f"unknown space {name!r}; choose from {', '.join(_SPACE_NAMES)}"
+        f"unknown space {name!r}; choose from {', '.join(_KERNEL_ID_NAMES + _SPACE_NAMES)}"
     )
 
 
@@ -1201,7 +1155,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 def _cmd_kernel_eval(args: argparse.Namespace) -> int:
-    kid = _kernel_id_from_args(args.id, args.nu, args.m, args.dotted)
+    kid = _space_from_args(args.id, args.nu, args.m, args.dotted)
     first = _point_from_any_json(_load_json_argument(args.omega, "--omega"))
     second = _point_from_any_json(_load_json_argument(args.zeta, "--zeta"))
     value = kr.kernel_eval(kid, first, second)
@@ -1237,7 +1191,7 @@ def _cmd_norm(args: argparse.Namespace) -> int:
     n = getattr(profile, "n", None)
     if n is None:
         raise ConfigError("this profile family does not carry a dimension")
-    tag = _space_tag_from_args(args.space, args.nu, args.m, n)
+    tag = _space_from_args(args.space, args.nu, args.m)
     weight = sp.spectral_weight(tag, n)
     constant = sp.norm_identity_constant(tag, n)
     spectral = constant.value * sp.l2nu_norm_sq(profile, weight)

@@ -242,17 +242,3 @@ def gaussian_pairing(lam: float, n: int, f, g, node_count: int = 16) -> complex:
 
     normalization = (abs(lam) / (2.0 * math.pi)) ** n
     return normalization * integrate_gaussian(rule, integrand)
-
-
-def vector_to_json(f: FockVector) -> dict:
-    return {
-        "n": f.truncation.n,
-        "M": f.truncation.max_degree,
-        "coeffs": [[float(c.real), float(c.imag)] for c in f.coeffs],
-    }
-
-
-def vector_from_json(doc: dict) -> FockVector:
-    trunc = FockTruncation(n=int(doc["n"]), max_degree=int(doc["M"]))
-    coeffs = np.asarray([complex(re, im) for re, im in doc["coeffs"]])
-    return FockVector(truncation=trunc, coeffs=coeffs)

@@ -122,10 +122,6 @@ class GammaExpression:
         return f"{num}/(" + "".join(den_parts) + ")"
 
 
-def gamma_ratio(num: tuple[float, ...], den: tuple[float, ...] = ()) -> GammaExpression:
-    return GammaExpression(gamma_num=num, gamma_den=den)
-
-
 def szego_constant(n: int) -> GammaExpression:
     """n! / (4π)^(n+1): the boundary-pairing kernel normalization."""
     return GammaExpression(

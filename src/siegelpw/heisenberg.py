@@ -27,8 +27,6 @@ __all__ = [
     "distance",
     "in_ball",
     "dilate",
-    "element_to_json",
-    "element_from_json",
 ]
 
 
@@ -101,16 +99,3 @@ def dilate(delta: float, a: HeisenbergElement) -> HeisenbergElement:
     if delta <= 0:
         raise InvalidParameterError(f"dilation factor must be positive, got {delta}")
     return HeisenbergElement(delta * a.z, delta * delta * a.t)
-
-
-def element_to_json(a: HeisenbergElement) -> dict:
-    """``{"z": [[re, im], ...], "t": t}``"""
-    return {"z": [[float(c.real), float(c.imag)] for c in a.z], "t": a.t}
-
-
-def element_from_json(doc: dict) -> HeisenbergElement:
-    try:
-        z = np.array([complex(re, im) for re, im in doc["z"]], dtype=complex)
-        return HeisenbergElement(z, float(doc["t"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"malformed group element document: {exc}") from exc

@@ -3,10 +3,11 @@
 Every holomorphic space handled by this package (boundary-pairing,
 weighted-volume, derivative-weighted, and logarithmic-endpoint on the
 half-space; logarithmic on the unit ball) has a reproducing kernel that is a
-power or a logarithm of one Hermitian pairing.  This module evaluates those
-kernels with principal-branch bookkeeping, carries every normalization as an
-exact :class:`~siegelpw.gammaexpr.GammaExpression`, and packages the checks
-the verification suites are built from:
+power or a logarithm of one Hermitian pairing; a half-space kernel is named
+by its space's descriptor from :mod:`siegelpw.spectral`.  This module
+evaluates those kernels with principal-branch bookkeeping, carries every
+normalization as an exact :class:`~siegelpw.gammaexpr.GammaExpression`, and
+packages the checks the verification suites are built from:
 
 * reproducing-property checks, by the spectral transform or by a direct
   chart-quadrature inner product,
@@ -93,73 +94,14 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Szego:
-    """Boundary-pairing kernel: constant times the pairing to the power
-    ``-(n+1)``.  The only kernel defined for boundary points (the pair must
-    still carry positive total height)."""
-
-
-@dataclass(frozen=True)
-class Bergman:
-    """Weighted volume-pairing kernel with height weight exponent ``nu > -1``:
-    constant times the pairing to the power ``-(n+2+nu)``."""
-
-    nu: float = 0.0
-
-    def __post_init__(self) -> None:
-        nu = float(self.nu)
-        if not nu > -1.0:
-            raise InvalidParameterError(
-                f"volume weight exponent must exceed -1, got {nu}"
-            )
-        object.__setattr__(self, "nu", nu)
-
-
-@dataclass(frozen=True)
-class WeightedDirichlet:
-    """Order-``m`` derivative-pairing kernel with height weight exponent
-    ``nu < -1`` (and ``nu > -(n+2)``, checked against the dimension at use
-    time).  Same pairing power ``-(n+2+nu)`` as the volume case, with the
-    normalization adjusted for the ``m``-fold height derivative."""
-
-    nu: float
-    m: int
-
-    def __post_init__(self) -> None:
-        nu = float(self.nu)
-        m = self.m
-        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-            raise InvalidParameterError(
-                f"derivative order must be a positive integer, got {m!r}"
-            )
-        if not nu < -1.0:
-            raise InvalidParameterError(
-                f"derivative-pairing weight exponent must be below -1, got {nu}"
-            )
-        if not 2 * m + nu > -1.0:
-            raise InvalidParameterError(
-                f"need 2m + nu > -1 for a convergent pairing, got m={m}, nu={nu}"
-            )
-        object.__setattr__(self, "nu", nu)
-
-
-@dataclass(frozen=True)
-class DirichletLog:
-    """Logarithmic endpoint kernel of derivative order ``m`` (requires
-    ``2m > n+1`` at use time).  The full kernel is ``1 + c*log(ratio)``; the
-    dotted variant drops the constant term and spans the subspace vanishing
-    at the distinguished center."""
-
-    m: int
-    dotted: bool = False
-
-    def __post_init__(self) -> None:
-        m = self.m
-        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-            raise InvalidParameterError(
-                f"derivative order must be a positive integer, got {m!r}"
-            )
+#: The half-space kernel ids are the space descriptors of
+#: :mod:`siegelpw.spectral`: each descriptor names one space, its norm and its
+#: reproducing kernel.  ``DruryArveson(m)`` at dimension ``n`` has the kernel of
+#: ``WeightedDirichlet(-(n+1), m)``.
+Szego = sp.Hardy
+Bergman = sp.Bergman
+WeightedDirichlet = sp.WeightedDirichlet
+DirichletLog = sp.Dirichlet
 
 
 @dataclass(frozen=True)
@@ -168,9 +110,7 @@ class BallDirichlet:
     ``log(1/(1 - <omega, zeta>))`` in the full Hermitian inner product."""
 
 
-KernelId = Union[Szego, Bergman, WeightedDirichlet, DirichletLog, BallDirichlet]
-
-_HALF_SPACE_IDS = (Szego, Bergman, WeightedDirichlet, DirichletLog)
+KernelId = Union[sp.SpaceTag, BallDirichlet]
 
 
 def _validate_dimension(n: int) -> None:
@@ -181,26 +121,16 @@ def _validate_dimension(n: int) -> None:
 def kernel_constant(kid: KernelId, n: int) -> GammaExpression:
     """Exact normalization constant of the kernel in lateral dimension ``n``."""
     _validate_dimension(n)
+    if isinstance(kid, BallDirichlet):
+        return ball_dirichlet_constant(n)
+    weight = sp.spectral_weight(kid, n)
     if isinstance(kid, Szego):
         return szego_constant(n)
     if isinstance(kid, Bergman):
-        return bergman_constant(n, kid.nu)
-    if isinstance(kid, WeightedDirichlet):
-        if not kid.nu > -(n + 2.0):
-            raise InvalidParameterError(
-                f"derivative-pairing weight exponent must exceed -(n+2) = {-(n + 2)}, "
-                f"got {kid.nu}"
-            )
-        return weighted_dirichlet_constant(n, kid.m, kid.nu)
+        return bergman_constant(n, weight)
     if isinstance(kid, DirichletLog):
-        if not 2 * kid.m > n + 1:
-            raise InvalidParameterError(
-                f"logarithmic kernel needs 2m > n+1, got m={kid.m}, n={n}"
-            )
         return dirichlet_log_constant(n, kid.m)
-    if isinstance(kid, BallDirichlet):
-        return ball_dirichlet_constant(n)
-    raise InvalidParameterError(f"unknown kernel id {kid!r}")
+    return weighted_dirichlet_constant(n, kid.m, weight)
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +203,6 @@ def _require_half_space_pair(kid, first, second) -> None:
             )
 
 
-def _nu_of(kid) -> float:
-    if isinstance(kid, Szego):
-        return -1.0
-    return kid.nu
-
-
 def _log_ratio(q_first: complex, q_second: complex, q_cross: complex, tracking: bool) -> complex:
     if q_first == 0 or q_second == 0 or q_cross == 0:
         raise KernelDomainError("the pairing vanished; the pair is outside the kernel domain")
@@ -326,8 +250,6 @@ def kernel_eval(kid: KernelId, first, second, *, tracking: bool = True) -> compl
     """
     if isinstance(kid, BallDirichlet):
         return _ball_eval(first, second)
-    if not isinstance(kid, _HALF_SPACE_IDS):
-        raise InvalidParameterError(f"unknown kernel id {kid!r}")
     _require_half_space_pair(kid, first, second)
     n = first.n
     constant = kernel_constant(kid, n).value
@@ -349,7 +271,7 @@ def kernel_eval(kid: KernelId, first, second, *, tracking: bool = True) -> compl
         raise KernelDomainError(
             "the pairing left the right half-plane; the pair is outside the kernel domain"
         )
-    exponent = n + 2.0 + _nu_of(kid)
+    exponent = n + 2.0 + sp.spectral_weight(kid, n)
     return constant * cmath.exp(-exponent * cmath.log(q))
 
 
@@ -365,14 +287,10 @@ def kernel_profile(kid: KernelId, base: SiegelPoint):
     if not isinstance(base, SiegelPoint):
         raise InvalidParameterError("kernel slices are anchored at half-space points")
     n = base.n
-    kernel_constant(kid, n)  # validates the id against the dimension
-    if isinstance(kid, Szego):
-        return sp.KernelProfile(n, -1.0, base, 0)
-    if isinstance(kid, Bergman):
-        return sp.KernelProfile(n, kid.nu, base, 0)
-    if isinstance(kid, WeightedDirichlet):
-        return sp.KernelProfile(n, kid.nu, base, kid.m)
-    return sp.DirichletKernelProfile(n, kid.m, base)
+    weight = sp.spectral_weight(kid, n)
+    if isinstance(kid, DirichletLog):
+        return sp.DirichletKernelProfile(n, kid.m, base)
+    return sp.KernelProfile(n, weight, base, getattr(kid, "m", 0))
 
 
 def kernel_slice(kid: KernelId, base: SiegelPoint) -> sp.ProfileFunction:
@@ -384,16 +302,11 @@ def kernel_slice(kid: KernelId, base: SiegelPoint) -> sp.ProfileFunction:
 
 
 def space_tag_for(kid: KernelId):
-    """Norm tag of the holomorphic space the kernel reproduces."""
-    if isinstance(kid, Szego):
-        return sp.Hardy()
-    if isinstance(kid, Bergman):
-        return sp.Bergman(kid.nu)
-    if isinstance(kid, WeightedDirichlet):
-        return sp.WeightedDirichlet(kid.nu, kid.m)
-    if isinstance(kid, DirichletLog):
-        return sp.Dirichlet(kid.m)
-    raise InvalidParameterError("the ball kernel has no half-space norm tag")
+    """Norm tag of the holomorphic space the kernel reproduces: the kernel id
+    itself, since both are the same descriptor."""
+    if isinstance(kid, BallDirichlet):
+        raise InvalidParameterError("the ball kernel has no half-space norm tag")
+    return kid
 
 
 # ---------------------------------------------------------------------------
@@ -496,11 +409,10 @@ def reproducing_check(
         if classify(p) != "interior":
             raise KernelDomainError("kernel slices belong to the space for interior anchors only")
     expected = kernel_eval(kid, zeta, omega0)
-    tag = space_tag_for(kid)
     n = zeta.n
     if method == "spectral":
-        weight = sp.spectral_weight(tag, n)
-        paley = sp.norm_identity_constant(tag, n).value
+        weight = sp.spectral_weight(kid, n)
+        paley = sp.norm_identity_constant(kid, n).value
         inner = sp.l2nu_inner_product(
             kernel_profile(kid, omega0),
             kernel_profile(kid, zeta),
@@ -514,7 +426,7 @@ def reproducing_check(
             value += 1.0
     elif method == "quadrature":
         value = space_inner_product(
-            kernel_slice(kid, omega0), kernel_slice(kid, zeta), tag, rules
+            kernel_slice(kid, omega0), kernel_slice(kid, zeta), kid, rules
         )
     else:
         raise InvalidParameterError("method must be 'spectral' or 'quadrature'")
@@ -619,7 +531,7 @@ def dotted_gram_identity_check(
     combo = FunctionCombination(
         tuple((c, kernel_slice(kid, p)) for c, p in zip(vec, pts))
     )
-    lhs = sp.space_norm_sq(combo, sp.Dirichlet(m), rules or KERNEL_QUADRATURE_RULES)
+    lhs = sp.space_norm_sq(combo, kid, rules or KERNEL_QUADRATURE_RULES)
     gram = gram_matrix(kid, pts)
     rhs = complex(np.conj(vec) @ gram @ vec)
     if rhs.real <= 0.0:
@@ -826,11 +738,8 @@ def difference_integral_ratio(
         raise InvalidParameterError("the difference integral is anchored at a half-space point")
     if classify(zeta) != "interior":
         raise KernelDomainError("the difference integral needs an interior anchor")
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise InvalidParameterError(f"derivative order must be a positive integer, got {m!r}")
     n = zeta.n
-    if not 2 * m > n + 1:
-        raise InvalidParameterError(f"the weight needs 2m > n+1, got m={m}, n={n}")
+    sp.spectral_weight(DirichletLog(m), n)  # the weight needs 2m > n+1
     chart = psi(zeta)
     z0 = np.asarray(chart.z, dtype=np.complex128)
     t0, h0 = chart.t, chart.h

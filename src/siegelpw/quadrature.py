@@ -47,12 +47,7 @@ __all__ = [
     "BoxRule",
     "integrate_box",
     "monte_carlo",
-    "gaussian_sampler",
-    "cauchy_sampler",
-    "half_cauchy_sampler",
     "box_sampler",
-    "rule_to_json",
-    "rule_from_json",
 ]
 
 
@@ -510,42 +505,6 @@ def monte_carlo(
     return estimate, math.sqrt(var / sample_count)
 
 
-def gaussian_sampler(dimension: int, scale: float = 1.0):
-    """Independent centered normals with standard deviation ``scale``."""
-
-    def sample(rng: np.random.Generator, count: int):
-        pts = rng.normal(0.0, scale, size=(dimension, count))
-        logpdf = -0.5 * np.sum(pts**2, axis=0) / scale**2 - dimension * math.log(
-            scale * math.sqrt(2.0 * math.pi)
-        )
-        return list(pts), np.exp(logpdf)
-
-    return sample
-
-
-def cauchy_sampler(dimension: int, scale: float = 1.0):
-    """Independent centered Cauchy coordinates — heavy tails for algebraically
-    decaying integrands on R^d."""
-
-    def sample(rng: np.random.Generator, count: int):
-        pts = scale * rng.standard_cauchy(size=(dimension, count))
-        dens = np.prod(scale / (math.pi * (scale**2 + pts**2)), axis=0)
-        return list(pts), dens
-
-    return sample
-
-
-def half_cauchy_sampler(dimension: int = 1, scale: float = 1.0):
-    """Half-Cauchy coordinates on (0, ∞)^d."""
-
-    def sample(rng: np.random.Generator, count: int):
-        pts = np.abs(scale * rng.standard_cauchy(size=(dimension, count)))
-        dens = np.prod(2.0 * scale / (math.pi * (scale**2 + pts**2)), axis=0)
-        return list(pts), dens
-
-    return sample
-
-
 def box_sampler(bounds: Sequence[tuple[float, float]]):
     """Uniform sampling on a finite box given as [(lo, hi), …]."""
     for lo, hi in bounds:
@@ -558,70 +517,3 @@ def box_sampler(bounds: Sequence[tuple[float, float]]):
         return cols, np.full(count, 1.0 / volume)
 
     return sample
-
-
-# ---------------------------------------------------------------------------
-# JSON round trips
-# ---------------------------------------------------------------------------
-
-
-def rule_to_json(rule, include_nodes: bool = False) -> dict:
-    """Serialize any rule to a plain dict (schema keyed on "kind")."""
-    if isinstance(rule, HalfLineRule):
-        doc = {
-            "kind": "halfline",
-            "exponent": rule.exponent,
-            "scale": rule.scale,
-            "node_count": rule.node_count,
-            "mapping": "gauss_laguerre",
-        }
-        if include_nodes:
-            doc["nodes"] = rule.nodes.tolist()
-            doc["weights"] = rule.weights.tolist()
-        return doc
-    if isinstance(rule, GaussianRule):
-        return {
-            "kind": "gaussian",
-            "variance_scale": rule.variance_scale,
-            "node_count": rule.node_count,
-            "dimension": rule.dimension,
-            "mapping": "gauss_hermite",
-        }
-    if isinstance(rule, BoxRule):
-        return {
-            "kind": "box",
-            "axes": [
-                {"mapping": ax.mapping, "node_count": ax.node_count, **ax.params}
-                for ax in rule.axes
-            ],
-        }
-    raise InvalidParameterError(f"unknown rule type {type(rule).__name__}")
-
-
-_AXIS_BUILDERS = {
-    "legendre": lambda p: legendre_axis(p["lower"], p["upper"], p["panels"], p["order"]),
-    "tan": lambda p: tan_axis(p["scale"], p["panels"], p["order"]),
-    "tan_half": lambda p: tan_half_axis(p["scale"], p["panels"], p["order"]),
-    "power_tail": lambda p: power_tail_axis(
-        p["beta"], p["split"], p["panels"], p["order"], p.get("tail_panels"), p.get("tail_order")
-    ),
-    "angle": lambda p: angle_axis(p["count"]),
-}
-
-
-def rule_from_json(doc: dict):
-    """Rebuild a rule from its JSON dict."""
-    kind = doc.get("kind")
-    if kind == "halfline":
-        return gauss_laguerre(doc["exponent"], doc["scale"], doc["node_count"])
-    if kind == "gaussian":
-        return gaussian_rule(doc["variance_scale"], doc["node_count"], doc["dimension"])
-    if kind == "box":
-        axes = []
-        for spec in doc["axes"]:
-            builder = _AXIS_BUILDERS.get(spec.get("mapping"))
-            if builder is None:
-                raise InvalidParameterError(f"unknown axis mapping {spec.get('mapping')!r}")
-            axes.append(builder(spec))
-        return BoxRule(axes=tuple(axes))
-    raise InvalidParameterError(f"unknown rule kind {kind!r}")

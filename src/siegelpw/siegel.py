@@ -16,23 +16,16 @@ The boundary (h = 0) carries the Heisenberg group structure from
 is generated by four families — boundary translations, positive
 dilations, unitary rotations of the first n slots, and a point
 inversion — represented here as a tagged union plus free compositions.
-
-Tent sets pair a gauge ball on the boundary with a height band:
-P(c, r) = B((z, t), r) x {k : |h - k| < r^2}; their Lebesgue volume is
-vol_coeff(n) * r^(2n+4), with the coefficient computed by quadrature.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .heisenberg import HeisenbergElement, distance, mul
-from .quadrature import legendre_axis
+from .heisenberg import HeisenbergElement
 
 # Points with |rho| below this band are treated as boundary points, so
 # round-trip noise cannot flip membership verdicts.
@@ -293,51 +286,6 @@ def apply(phi, p: SiegelPoint) -> SiegelPoint:
 
 
 # ---------------------------------------------------------------------------
-# Tents
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def unit_gauge_ball_volume(n: int) -> float:
-    """Lebesgue volume of {(z, t): |z|^4/16 + t^2 < 1} in C^n x R, by quadrature.
-
-    Reducing over spheres |z| = 2 sqrt(sin(phi)) leaves a smooth profile
-    integral handled by a Gauss-Legendre rule.
-    """
-    if n < 1:
-        raise InvalidParameterError("dimension must be >= 1")
-    axis = legendre_axis(0.0, 0.5 * math.pi, panels=8, order=24)
-    profile = float(
-        np.sum(axis.weights * np.sin(axis.nodes) ** (n - 1) * np.cos(axis.nodes) ** 2)
-    )
-    sphere_area = 2.0 * math.pi**n / math.gamma(n)
-    return sphere_area * 4.0**n * profile
-
-
-def tent_volume_coefficient(n: int) -> float:
-    """Coefficient c with |P(center, r)| = c * r^(2n+4)."""
-    return 2.0 * unit_gauge_ball_volume(n)
-
-
-def tent_volume(n: int, r: float) -> float:
-    """Lebesgue volume of a tent of radius r over an n-dimensional boundary."""
-    if not r > 0:
-        raise InvalidParameterError("tent radius must be positive")
-    return tent_volume_coefficient(n) * r ** (2 * n + 4)
-
-
-def in_tent(center: HorocyclicCoordinates, r: float, q: HorocyclicCoordinates) -> bool:
-    """Membership in P(center, r): gauge ball on the boundary, band in height."""
-    if not r > 0:
-        raise InvalidParameterError("tent radius must be positive")
-    if center.n != q.n:
-        raise InvalidParameterError("dimension mismatch between center and point")
-    if distance(q.boundary_part, center.boundary_part) >= r:
-        return False
-    return abs(q.h - center.h) < r * r
-
-
-# ---------------------------------------------------------------------------
 # JSON encodings
 # ---------------------------------------------------------------------------
 
@@ -384,43 +332,3 @@ def ball_point_to_json(w: BallPoint) -> dict:
 
 def ball_point_from_json(doc: dict) -> BallPoint:
     return BallPoint(omega=_vector_from_json(doc["omega"]))
-
-
-def automorphism_to_json(phi) -> dict:
-    from .heisenberg import element_to_json
-
-    if isinstance(phi, HeisenbergTranslation):
-        return {"kind": "translation", "payload": element_to_json(phi.element)}
-    if isinstance(phi, Dilation):
-        return {"kind": "dilation", "payload": phi.delta}
-    if isinstance(phi, Unitary):
-        return {
-            "kind": "unitary",
-            "payload": [_vector_to_json(row) for row in phi.matrix],
-        }
-    if isinstance(phi, Inversion):
-        return {"kind": "inversion", "payload": None}
-    if isinstance(phi, Composition):
-        return {
-            "kind": "composition",
-            "payload": [automorphism_to_json(f) for f in phi.maps],
-        }
-    raise InvalidParameterError(f"unknown automorphism {type(phi).__name__}")
-
-
-def automorphism_from_json(doc: dict):
-    from .heisenberg import element_from_json
-
-    kind = doc["kind"]
-    payload = doc.get("payload")
-    if kind == "translation":
-        return HeisenbergTranslation(element=element_from_json(payload))
-    if kind == "dilation":
-        return Dilation(delta=float(payload))
-    if kind == "unitary":
-        return Unitary(matrix=np.asarray([_vector_from_json(row) for row in payload]))
-    if kind == "inversion":
-        return Inversion()
-    if kind == "composition":
-        return Composition(maps=[automorphism_from_json(f) for f in payload])
-    raise InvalidParameterError(f"unknown automorphism kind {kind!r}")

@@ -7,15 +7,18 @@ space as ``f ↦ ⟨f, v(λ)⟩ e_0``, so the field is stored through its vector
 ``v(λ)``.  The module provides
 
 * named closed-form families (:class:`KernelProfile`,
-  :class:`DirichletKernelProfile`, :class:`FiniteProfile`), sampled fields
-  (:class:`SampledProfile`), and the frequency-multiplication operator
-  :func:`spectral_derivative`;
+  :class:`DirichletKernelProfile`, :class:`FiniteProfile`) and the
+  frequency-multiplication operator :func:`spectral_derivative`;
 * weighted spectral norms and pairings (:func:`l2nu_norm_sq`,
   :func:`l2nu_inner_product`) by half-line quadrature matched to each
   family's decay;
 * synthesis back to the domain (:func:`synthesize`,
   :func:`synthesize_dirichlet`), with resolution estimated by node-count
   doubling;
+* one descriptor per holomorphic space (:class:`Hardy`, :class:`Bergman`,
+  :class:`WeightedDirichlet`, :class:`DruryArveson`, :class:`Dirichlet`),
+  which also names the space's reproducing kernel in
+  :mod:`siegelpw.kernels`, with the range checks of its weight and order;
 * holomorphic-space norms and Gram matrices over the domain chart
   (:func:`space_norm_sq`, :func:`space_gram`) by streamed tensor-product
   quadrature, including the boundary-limit norm via geometrically shrinking
@@ -51,11 +54,8 @@ __all__ = [
     "FiniteTerm",
     "FiniteProfile",
     "DerivedProfile",
-    "SampledProfile",
     "SpectralProfile",
-    "sample_profile",
     "spectral_derivative",
-    "apply_field",
     "l2nu_norm_sq",
     "l2nu_inner_product",
     "synthesize",
@@ -346,8 +346,7 @@ class DirichletKernelProfile:
             raise InvalidParameterError(
                 f"base point has dimension {self.base.n}, expected {self.n}"
             )
-        if not isinstance(self.m, int) or 2 * self.m <= self.n + 1:
-            raise InvalidParameterError(f"need integer 2m > n+1, got m={self.m}, n={self.n}")
+        spectral_weight(Dirichlet(self.m), self.n)
         if rho(self.base) <= 0:
             raise InvalidParameterError("base point must lie in the open domain")
 
@@ -621,58 +620,7 @@ class DerivedProfile:
         ]
 
 
-@dataclass(frozen=True)
-class SampledProfile:
-    """Rank-one field given by vector-part samples on the nodes of a fixed
-    half-line rule; spectral norms and synthesis reuse that rule, so no
-    resolution estimate is available."""
-
-    truncation: _fock.FockTruncation
-    rule: _quad.HalfLineRule
-    coefficients: np.ndarray
-
-    def __post_init__(self) -> None:
-        coeffs = np.array(self.coefficients, dtype=np.complex128)
-        expected = (self.truncation.dim, self.rule.nodes.size)
-        if coeffs.shape != expected:
-            raise InvalidParameterError(
-                f"coefficient array must have shape {expected}, got {coeffs.shape}"
-            )
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def n(self) -> int:
-        return self.truncation.n
-
-    def hs_at_nodes(self) -> np.ndarray:
-        return np.sum(np.abs(self.coefficients) ** 2, axis=0)
-
-    def trace_at_nodes(self, z_components, t) -> list[np.ndarray]:
-        """Trace against the adjoint representation operator at each stored node."""
-        out = []
-        for i, mu in enumerate(self.rule.nodes):
-            p_conj = _conjugate_p_values(self.truncation, float(mu), z_components, t)
-            column = np.conj(self.coefficients[:, i]).reshape(
-                (self.truncation.dim,) + (1,) * (np.ndim(p_conj) - 1)
-            )
-            out.append(np.sum(column * p_conj, axis=0))
-        return out
-
-
-SpectralProfile = Union[
-    KernelProfile, DirichletKernelProfile, FiniteProfile, DerivedProfile, SampledProfile
-]
-
-
-def sample_profile(
-    profile: SpectralProfile, truncation: _fock.FockTruncation, rule: _quad.HalfLineRule
-) -> SampledProfile:
-    """Freeze a closed-form field into vector-part samples on a rule's nodes."""
-    if isinstance(profile, SampledProfile):
-        raise InvalidParameterError("profile is already sampled")
-    coeffs = profile.coefficient_values(truncation, rule.nodes)
-    return SampledProfile(truncation, rule, coeffs)
+SpectralProfile = Union[KernelProfile, DirichletKernelProfile, FiniteProfile, DerivedProfile]
 
 
 def spectral_derivative(profile: SpectralProfile, order: int) -> SpectralProfile:
@@ -686,35 +634,9 @@ def spectral_derivative(profile: SpectralProfile, order: int) -> SpectralProfile
         raise InvalidParameterError(f"derivative order must be a nonnegative int, got {order}")
     if order == 0:
         return profile
-    if isinstance(profile, SampledProfile):
-        factor = (-profile.rule.nodes) ** order
-        return SampledProfile(profile.truncation, profile.rule, profile.coefficients * factor)
     if isinstance(profile, DerivedProfile):
         return DerivedProfile(profile.base, profile.order + order)
     return DerivedProfile(profile, order)
-
-
-def apply_field(
-    profile: SpectralProfile,
-    truncation: _fock.FockTruncation,
-    lam: float,
-    vector: _fock.FockVector,
-) -> _fock.FockVector:
-    """Apply the rank-one operator at frequency ``lam`` to a truncated vector.
-
-    The field vanishes on nonnegative frequencies; on negative frequencies the
-    image is the pairing against the vector part, carried by the
-    lowest-degree basis vector.
-    """
-    if vector.truncation != truncation:
-        raise InvalidParameterError("vector truncation does not match")
-    if not math.isfinite(lam):
-        raise InvalidParameterError(f"frequency must be finite, got {lam}")
-    out = np.zeros(truncation.dim, dtype=np.complex128)
-    if lam < 0.0:
-        v = profile.coefficient_values(truncation, np.asarray(-lam, dtype=float))
-        out[0] = np.sum(vector.coeffs * np.conj(v))
-    return _fock.FockVector(truncation, out)
 
 
 # --------------------------------------------------------------------------
@@ -769,9 +691,6 @@ def l2nu_norm_sq(
     """
     n = profile.n
     weight_power = n - nu - 1.0
-    if isinstance(profile, SampledProfile):
-        integrand = profile.hs_at_nodes() * profile.rule.nodes**weight_power
-        return float(_plancherel(n) * np.sum(profile.rule.plain_weights() * integrand))
     pure = profile.hs_pure_terms()
     if pure is not None:
         total = 0.0
@@ -991,15 +910,6 @@ def synthesize(
             f"synthesis requires an interior point (positive height), got height {coords.h}"
         )
     n = profile.n
-    if isinstance(profile, SampledProfile):
-        traces = profile.trace_at_nodes(list(coords.z), coords.t)
-        weights = profile.rule.plain_weights()
-        nodes = profile.rule.nodes
-        total = sum(
-            w * mu**n * math.exp(-coords.h * mu) * complex(tr)
-            for w, mu, tr in zip(weights, nodes, traces)
-        )
-        return _plancherel(n) * total
     if n + profile.trace_mu_power <= -1.0:
         raise DivergentIntegralError(
             "synthesis integral diverges at frequency 0; "
@@ -1031,8 +941,6 @@ def synthesize_dirichlet(
         raise InvalidParameterError(
             f"synthesis requires an interior point (positive height), got height {coords.h}"
         )
-    if isinstance(profile, SampledProfile):
-        raise InvalidParameterError("center-subtracted synthesis needs a closed-form profile")
     n = profile.n
     z_components = list(coords.z)
     center_z = [np.zeros_like(zj) for zj in coords.z]
@@ -1121,8 +1029,6 @@ class ProfileFunction:
             raise InvalidParameterError(
                 f'evaluation must be "auto", "closed", or "quadrature", got {self.evaluation!r}'
             )
-        if isinstance(self.profile, SampledProfile):
-            raise InvalidParameterError("chart evaluation needs a closed-form profile")
         object.__setattr__(self, "constant", complex(self.constant))
 
     @property
@@ -1254,73 +1160,110 @@ def holomorphy_residuals(
 
 
 # --------------------------------------------------------------------------
-# space tags and chart norms
+# space descriptors and chart norms
 # --------------------------------------------------------------------------
+
+
+def _positive_order(m) -> None:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+        raise InvalidParameterError(f"derivative order must be a positive integer, got {m!r}")
 
 
 @dataclass(frozen=True)
 class Hardy:
     """Boundary-limit space: squared norm is the increasing limit of height
-    slices of the squared chart values."""
+    slices of the squared chart values.  Its kernel is a constant times the
+    pairing to the power ``-(n+1)``, the only kernel defined for boundary
+    points (the pair must still carry positive total height)."""
 
 
 @dataclass(frozen=True)
 class Bergman:
-    """Weighted volume space with weight ``h^nu`` (``nu > -1``)."""
+    """Weighted volume space with weight ``h^nu`` (``nu > -1``); its kernel is
+    a constant times the pairing to the power ``-(n+2+nu)``."""
 
-    nu: float
+    nu: float = 0.0
+
+    def __post_init__(self) -> None:
+        nu = float(self.nu)
+        if not nu > -1.0:
+            raise InvalidParameterError(f"volume weight exponent must exceed -1, got {nu}")
+        object.__setattr__(self, "nu", nu)
 
 
 @dataclass(frozen=True)
 class WeightedDirichlet:
     """Derivative-regularized space: weight ``h^(2m+nu)`` against the squared
-    order-``m`` height derivative, for ``-(n+2) < nu < -1`` and ``2m+nu > -1``."""
+    order-``m`` height derivative, for ``-(n+2) < nu < -1`` and ``2m+nu > -1``
+    (the lower bound is checked against the dimension at use time).  Its
+    kernel has the volume kernel's pairing power ``-(n+2+nu)``."""
 
     nu: float
     m: int
 
+    def __post_init__(self) -> None:
+        _positive_order(self.m)
+        nu = float(self.nu)
+        if not nu < -1.0:
+            raise InvalidParameterError(
+                f"derivative-pairing weight exponent must be below -1, got {nu}"
+            )
+        if not 2 * self.m + nu > -1.0:
+            raise InvalidParameterError(
+                f"need 2m + nu > -1 for a convergent pairing, got m={self.m}, nu={nu}"
+            )
+        object.__setattr__(self, "nu", nu)
+
 
 @dataclass(frozen=True)
 class DruryArveson:
-    """The weighted-Dirichlet space at the distinguished weight ``nu = -(n+1)``."""
+    """The weighted-Dirichlet space at the distinguished weight ``nu = -(n+1)``
+    (requires ``2m > n`` at use time)."""
 
     m: int = 1
+
+    def __post_init__(self) -> None:
+        _positive_order(self.m)
 
 
 @dataclass(frozen=True)
 class Dirichlet:
     """Endpoint weight ``nu = -(n+2)``: squared seminorm of the order-``m``
-    height derivative plus the squared value at the distinguished center."""
+    height derivative plus the squared value at the distinguished center
+    (requires ``2m > n+1`` at use time).  Its kernel is ``1 + c*log(ratio)``;
+    ``dotted`` drops the constant 1, so the kernel spans the subspace vanishing
+    at the center, where the norm's center product is zero."""
 
     m: int
+    dotted: bool = False
+
+    def __post_init__(self) -> None:
+        _positive_order(self.m)
 
 
 SpaceTag = Union[Hardy, Bergman, WeightedDirichlet, DruryArveson, Dirichlet]
 
 
 def _tag_data(tag: SpaceTag, n: int) -> tuple[float | None, int, float, bool]:
-    """(height-weight exponent, derivative order, spectral weight, add center value)."""
+    """(height-weight exponent, derivative order, spectral weight, add center
+    value), after the range checks that depend on the dimension."""
     if isinstance(tag, Hardy):
         return None, 0, -1.0, False
     if isinstance(tag, Bergman):
-        if not tag.nu > -1.0:
-            raise InvalidParameterError(f"volume weight must exceed -1, got {tag.nu}")
         return tag.nu, 0, tag.nu, False
     if isinstance(tag, WeightedDirichlet):
-        if not (-(n + 2) < tag.nu < -1.0):
+        if not tag.nu > -(n + 2.0):
             raise InvalidParameterError(
-                f"weight must lie in (-(n+2), -1) = ({-(n + 2)}, -1), got {tag.nu}"
+                f"derivative-pairing weight exponent must exceed -(n+2) = {-(n + 2)}, got {tag.nu}"
             )
-        if not isinstance(tag.m, int) or tag.m < 1 or not (2 * tag.m + tag.nu > -1.0):
-            raise InvalidParameterError(f"need integer m with 2m+nu > -1, got m={tag.m}, nu={tag.nu}")
         return 2 * tag.m + tag.nu, tag.m, tag.nu, False
     if isinstance(tag, DruryArveson):
-        if not isinstance(tag.m, int) or 2 * tag.m <= n:
-            raise InvalidParameterError(f"need integer 2m > n, got m={tag.m}, n={n}")
+        if not 2 * tag.m > n:
+            raise InvalidParameterError(f"need 2m > n, got m={tag.m}, n={n}")
         return 2 * tag.m - n - 1.0, tag.m, -(n + 1.0), False
     if isinstance(tag, Dirichlet):
-        if not isinstance(tag.m, int) or 2 * tag.m <= n + 1:
-            raise InvalidParameterError(f"need integer 2m > n+1, got m={tag.m}, n={n}")
+        if not 2 * tag.m > n + 1:
+            raise InvalidParameterError(f"need 2m > n+1, got m={tag.m}, n={n}")
         return 2 * tag.m - n - 2.0, tag.m, -(n + 2.0), True
     raise InvalidParameterError(f"unknown space tag {tag!r}")
 
@@ -1508,13 +1451,16 @@ def hardy_slice_norms(F, rules: ChartNormRules | None = None) -> list[tuple[floa
 
 
 def _richardson_limit(slice_values: Sequence):
+    """Richardson limit of values at halving heights, for real slice norms or
+    complex Gram matrices; it multiplies by the reciprocal of ``factor - 1``,
+    as NumPy's complex division does, so both give the same bits."""
     table = [list(slice_values)]
     level = len(slice_values)
     for j in range(1, level):
         prev = table[j - 1]
         factor = 2.0**j
         table.append(
-            [(factor * prev[i] - prev[i - 1]) / (factor - 1.0) for i in range(1, len(prev))]
+            [(factor * prev[i] - prev[i - 1]) * (1.0 / (factor - 1.0)) for i in range(1, len(prev))]
         )
     return table[-1][-1]
 

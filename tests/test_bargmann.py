@@ -196,18 +196,3 @@ class TestDerivatives:
         trunc = fk.FockTruncation(n=1, max_degree=3)
         with pytest.raises(InvalidParameterError):
             bg.dsigma_check(-2.0, "X", trunc)
-
-
-class TestBinaryDump:
-    def test_round_trip(self):
-        lam, trunc = -2.0, fk.FockTruncation(n=1, max_degree=5)
-        m = bg.rep_matrix(lam, random_element(1, 13), trunc)
-        raw = bg.matrix_to_bytes(m)
-        assert len(raw) == 16 * trunc.dim**2
-        back = bg.matrix_from_bytes(lam, m.element, trunc, raw)
-        assert np.array_equal(back.entries, m.entries)
-
-    def test_wrong_size_rejected(self):
-        trunc = fk.FockTruncation(n=1, max_degree=5)
-        with pytest.raises(InvalidParameterError):
-            bg.matrix_from_bytes(-2.0, hg.identity(1), trunc, b"\x00" * 16)

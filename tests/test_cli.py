@@ -1,8 +1,10 @@
 """Tests for the ``siegelpw`` command line: exit codes, config-file merging,
-report shapes and the scope of ``--tol``.
+report shapes, the scope of ``--tol``, and the ``kernel eval`` and ``norm``
+evaluators.
 
 Only suites without chart grids run here (``group``, ``fock``,
-``drury-arveson``), so the whole file takes seconds.
+``drury-arveson``) and ``norm`` runs on the spectral side, so the whole file
+takes seconds.
 """
 
 import csv
@@ -12,6 +14,9 @@ import json
 import pytest
 
 import siegelpw.cli as cli
+import siegelpw.kernels as kr
+import siegelpw.spectral as sp
+from siegelpw.siegel import chart_from_json, point_to_json, psi_inv
 
 ROW_KEYS = {"id", "anchor", "lhs", "rhs", "rel_error", "tolerance", "passed", "rules", "seconds"}
 
@@ -158,3 +163,62 @@ class TestProjectionTail:
         assert data.rhs == pytest.approx(5.399455382921829e-22, rel=1e-6)
         assert data.metric == "bound-ratio"
         assert data.rel_error <= data.tolerance == 1.0
+
+
+OMEGA = {"z": [[0.3, 0.1]], "t": -0.2, "h": 0.8}
+ZETA = {"z": [[-0.1, 0.4]], "t": 0.5, "h": 1.3}
+POINTS = ["--omega", json.dumps(OMEGA), "--zeta", json.dumps(ZETA)]
+
+
+def run_command(tmp_path, *argv):
+    out = tmp_path / "out.json"
+    code = cli.main([*argv, "--out", str(out)])
+    return code, (json.loads(out.read_text()) if out.exists() else None)
+
+
+def kernel_profile_json(nu, m):
+    base = psi_inv(chart_from_json(OMEGA))
+    return json.dumps({"family": "kernel", "nu": nu, "m": m, "base": point_to_json(base)})
+
+
+class TestEvaluators:
+    """The ``kernel eval`` and ``norm`` subcommands on the spectral side only,
+    so no chart grid runs."""
+
+    def test_kernel_eval_dotted_log(self, tmp_path):
+        code, doc = run_command(tmp_path, "kernel", "eval", "--id", "dirichlet-log", "--dotted", *POINTS)
+        assert code == 0
+        kid = kr.DirichletLog(2, dotted=True)
+        value = kr.kernel_eval(kid, psi_inv(chart_from_json(OMEGA)), psi_inv(chart_from_json(ZETA)))
+        assert doc["value"] == [value.real, value.imag]
+        assert doc["constant"] == kr.kernel_constant(kid, 1).text
+        assert (doc["id"], doc["n"]) == ("dirichlet-log", 1)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kernel", "eval", "--id", "weighted-dirichlet", "--m", "1", *POINTS],
+            ["kernel", "eval", "--id", "bergman", "--nu", "-1.5", *POINTS],
+            ["norm", "--space", "dirichlet", "--m", "1", "--method", "spectral", "--profile", kernel_profile_json(0.0, 0)],
+        ],
+        ids=["weighted-dirichlet-without-nu", "bergman-nu-below-minus-one", "dirichlet-m1-at-n1"],
+    )
+    def test_invalid_descriptor_exits_two(self, tmp_path, capsys, argv):
+        code, doc = run_command(tmp_path, *argv)
+        assert code == 2
+        assert doc is None
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_norm_drury_arveson(self, tmp_path):
+        # The spectral norm of the space's own kernel slice is the kernel's
+        # diagonal value at the slice's base.
+        code, doc = run_command(
+            tmp_path, "norm", "--space", "drury-arveson", "--method", "spectral",
+            "--profile", kernel_profile_json(-2.0, 1),
+        )
+        assert code == 0
+        base = psi_inv(chart_from_json(OMEGA))
+        diagonal = kr.kernel_eval(sp.DruryArveson(1), base, base).real
+        assert doc["constant"] == sp.norm_identity_constant(sp.DruryArveson(1), 1).text
+        assert abs(doc["spectral"] - diagonal) < 1e-10 * diagonal
+        assert "quadrature" not in doc

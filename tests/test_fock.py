@@ -210,12 +210,3 @@ class TestEvaluation:
         trunc = fk.FockTruncation(n=2, max_degree=2)
         with pytest.raises(InvalidParameterError):
             fk.basis_values(trunc, -1.0, [np.asarray(1.0 + 0j)])
-
-
-class TestJson:
-    def test_round_trip(self):
-        trunc = fk.FockTruncation(n=2, max_degree=3)
-        f = random_vector(trunc, 21)
-        doc = fk.vector_to_json(f)
-        assert doc["n"] == 2 and doc["M"] == 3
-        assert fk.vector_from_json(doc) == f

@@ -159,14 +159,3 @@ class TestBallsAndJson:
         a, c = el(1.0 + 1.0j, 0.3), el(0.9 + 1.1j, 0.2)
         assert hg.in_ball(c, hg.homogeneous_norm(hg.mul(a, hg.inv(c))) + 1e-9, a)
         assert not hg.in_ball(c, hg.homogeneous_norm(hg.mul(a, hg.inv(c))) - 1e-9, a)
-
-    def test_json_round_trip(self):
-        a = el([1.0 + 2.0j, -0.5j], -3.25)
-        doc = hg.element_to_json(a)
-        assert doc == {"z": [[1.0, 2.0], [-0.0, -0.5]], "t": -3.25}
-        back = hg.element_from_json(doc)
-        assert back == a
-
-    def test_json_malformed(self):
-        with pytest.raises(InvalidParameterError):
-            hg.element_from_json({"z": "nope", "t": 0.0})

@@ -240,6 +240,54 @@ class TestConstants:
             kr.kernel_constant(kr.Szego(), 0)
 
 
+#: Invalid descriptors, each with a dimension and whether its range is
+#: independent of the dimension (then the descriptor cannot be built at all).
+INVALID_DESCRIPTORS = [
+    pytest.param(lambda: kr.Bergman(-1.0), 1, True, id="bergman-nu-at-minus-one"),
+    pytest.param(lambda: kr.WeightedDirichlet(-0.5, 1), 1, True, id="weighted-nu-above-minus-one"),
+    pytest.param(lambda: kr.WeightedDirichlet(-3.2, 1), 2, True, id="weighted-2m-plus-nu"),
+    pytest.param(lambda: kr.WeightedDirichlet(-1.5, 0), 1, True, id="weighted-order-zero"),
+    pytest.param(lambda: kr.WeightedDirichlet(-1.5, 1.0), 1, True, id="weighted-order-float"),
+    pytest.param(lambda: kr.WeightedDirichlet(-3.5, 2), 1, False, id="weighted-nu-below-minus-n-2"),
+    pytest.param(lambda: sp.DruryArveson(0), 1, True, id="drury-arveson-order-zero"),
+    pytest.param(lambda: sp.DruryArveson(1), 2, False, id="drury-arveson-2m-le-n"),
+    pytest.param(lambda: kr.DirichletLog(True), 3, True, id="dirichlet-order-bool"),
+    pytest.param(lambda: kr.DirichletLog(1), 1, False, id="dirichlet-2m-le-n-plus-1"),
+    pytest.param(lambda: kr.DirichletLog(2, dotted=True), 3, False, id="dotted-2m-le-n-plus-1"),
+]
+
+
+class TestOneDescriptor:
+    @pytest.mark.parametrize("make, n, at_construction", INVALID_DESCRIPTORS)
+    def test_one_validator_serves_kernels_and_norms(self, make, n, at_construction):
+        if at_construction:
+            with pytest.raises(InvalidParameterError):
+                make()
+            return
+        descriptor = make()
+        for check in (kr.kernel_constant, sp.spectral_weight, sp.norm_identity_constant):
+            with pytest.raises(InvalidParameterError):
+                check(descriptor, n)
+        with pytest.raises(InvalidParameterError):
+            kr.kernel_profile(descriptor, base_point(n))
+
+    def test_kernel_ids_are_the_space_descriptors(self):
+        assert kr.Szego is sp.Hardy
+        assert kr.Bergman is sp.Bergman
+        assert kr.WeightedDirichlet is sp.WeightedDirichlet
+        assert kr.DirichletLog is sp.Dirichlet
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 2), (2, 2)])
+    def test_drury_arveson_kernel_is_the_weighted_dirichlet_kernel(self, n, m):
+        rng = np.random.default_rng(17 + 3 * n + m)
+        zeta, omega = rand_interior(rng, n), rand_interior(rng, n)
+        kid = sp.DruryArveson(m)
+        same = kr.WeightedDirichlet(-(n + 1), m)
+        assert kr.kernel_constant(kid, n) == kr.kernel_constant(same, n)
+        assert kr.kernel_eval(kid, zeta, omega) == kr.kernel_eval(same, zeta, omega)
+        assert kr.reproducing_check(kid, zeta, omega) < 1e-10
+
+
 # ---------------------------------------------------------------------------
 # Pointwise evaluation
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ integrals) independently of the implementation; scipy's Gauss rule
 generators serve as independent oracles for nodes and weights.
 """
 
-import json
 import math
 
 import numpy as np
@@ -194,19 +193,8 @@ class TestBoxRule:
 
 
 class TestMonteCarlo:
-    def test_gaussian_integral_within_three_sigma(self):
-        # ∫_{R^2} e^{-|x|^2/2} dx = 2π, importance-sampled by a wider normal.
-        est, err = q.monte_carlo(
-            q.gaussian_sampler(2, scale=1.5),
-            lambda x, y: np.exp(-(x**2 + y**2) / 2.0),
-            40_000,
-            seed=20260816,
-        )
-        assert abs(est - 2.0 * math.pi) < 3.0 * err
-        assert err < 0.05
-
     def test_reproducible_by_seed(self):
-        sampler = q.cauchy_sampler(1, scale=1.0)
+        sampler = q.box_sampler([(-3.0, 3.0)])
         f = lambda x: 1.0 / (1.0 + x**4)
         a1 = q.monte_carlo(sampler, f, 5_000, seed=7)
         a2 = q.monte_carlo(sampler, f, 5_000, seed=7)
@@ -222,47 +210,6 @@ class TestMonteCarlo:
             seed=1,
         )
         assert abs(est - 4.0) < 1e-12 and err < 1e-12
-
-    def test_half_cauchy_positive_coordinates(self):
-        sampler = q.half_cauchy_sampler(1, scale=2.0)
-        rng = np.random.Generator(np.random.Philox(key=3))
-        coords, dens = sampler(rng, 1000)
-        assert np.all(coords[0] > 0) and np.all(dens > 0)
-
-
-class TestJsonRoundTrip:
-    def test_halfline_roundtrip(self):
-        rule = q.gauss_laguerre(1.5, 2.0, 14)
-        doc = q.rule_to_json(rule, include_nodes=True)
-        assert doc["kind"] == "halfline" and doc["mapping"] == "gauss_laguerre"
-        back = q.rule_from_json(json.loads(json.dumps(doc)))
-        np.testing.assert_allclose(back.nodes, rule.nodes)
-        np.testing.assert_allclose(back.weights, rule.weights)
-
-    def test_box_roundtrip(self):
-        rule = q.BoxRule(
-            axes=(
-                q.tan_axis(2.0, 3, 10),
-                q.power_tail_axis(0.5, 1.0, 4, 8),
-                q.angle_axis(12),
-            )
-        )
-        doc = q.rule_to_json(rule)
-        back = q.rule_from_json(json.loads(json.dumps(doc)))
-        assert [ax.mapping for ax in back.axes] == ["tan", "power_tail", "angle"]
-        for ax_a, ax_b in zip(rule.axes, back.axes):
-            np.testing.assert_allclose(ax_a.nodes, ax_b.nodes)
-            np.testing.assert_allclose(ax_a.weights, ax_b.weights)
-
-    def test_gaussian_roundtrip(self):
-        rule = q.gaussian_rule(0.7, 9, 3)
-        back = q.rule_from_json(q.rule_to_json(rule))
-        np.testing.assert_allclose(back.nodes, rule.nodes)
-        assert back.dimension == 3
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            q.rule_from_json({"kind": "simpson"})
 
 
 def test_default_tolerances():

@@ -1,16 +1,13 @@
-"""Tests for the half-space geometry: heights, charts, ball map, maps, tents."""
-
-import math
+"""Tests for the half-space geometry: heights, charts, ball map, maps."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import siegelpw.heisenberg as hg
 import siegelpw.siegel as sg
 from siegelpw.errors import InvalidParameterError
-from siegelpw.quadrature import box_sampler, monte_carlo
 
 
 def finite(lo=-3.0, hi=3.0):
@@ -276,87 +273,6 @@ class TestApply:
         assert sg.classify(image) in ("interior", "boundary")
 
 
-class TestTents:
-    def test_volume_coefficient_dimension_one(self):
-        assert sg.tent_volume_coefficient(1) == pytest.approx(
-            4.0 * math.pi**2, rel=1e-12
-        )
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_gauge_ball_volume_closed_form(self, n):
-        # Independent closed form via the Beta function.
-        beta = math.gamma(n / 2) * math.gamma(1.5) / math.gamma(n / 2 + 1.5)
-        expected = (2.0 * math.pi**n / math.gamma(n)) * 4.0**n * 0.5 * beta
-        assert sg.unit_gauge_ball_volume(n) == pytest.approx(expected, rel=1e-12)
-
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_volume_scaling_ratio(self, n):
-        r = 0.37
-        ratio = sg.tent_volume(n, 2.0 * r) / sg.tent_volume(n, r)
-        assert ratio == pytest.approx(2.0 ** (2 * n + 4), rel=1e-12)
-
-    def test_volume_monte_carlo(self):
-        z0, t0, h0, r = 0.4 + 0.2j, 0.3, 0.5, 0.7
-        center = sg.HorocyclicCoordinates(z=np.array([z0]), t=t0, h=h0)
-
-        def indicator(zr, zi, s, k):
-            w = zr + 1j * zi
-            twist = s - t0 + 0.5 * np.imag(w * np.conj(z0))
-            inside_ball = np.abs(w - z0) ** 4 / 16.0 + twist**2 < r**4
-            return np.where(inside_ball & (np.abs(k - h0) < r * r), 1.0, 0.0)
-
-        bounds = [(-1.1, 1.9), (-1.3, 1.7), (-0.7, 1.3), (0.0, 1.0)]
-        # The vectorized indicator must agree with in_tent pointwise.
-        rng = np.random.Generator(np.random.Philox(key=7))
-        for _ in range(200):
-            draw = [float(rng.uniform(lo, hi)) for lo, hi in bounds]
-            q = sg.HorocyclicCoordinates(z=np.array([draw[0] + 1j * draw[1]]), t=draw[2], h=draw[3])
-            flag = bool(indicator(*[np.asarray([v]) for v in draw])[0])
-            assert flag == sg.in_tent(center, r, q)
-
-        estimate, stderr = monte_carlo(box_sampler(bounds), indicator, 200_000, seed=11)
-        expected = sg.tent_volume(1, r)
-        assert stderr < 0.05
-        assert abs(estimate.real - expected) <= 3.5 * stderr
-
-    @given(g=heisenberg_elements(1), c=charts(1, h_min=0.0), q=charts(1, h_min=0.0))
-    @settings(max_examples=80, deadline=None)
-    def test_membership_translation_covariance(self, g, c, q):
-        r = 0.8
-        gap_ball = abs(hg.distance(q.boundary_part, c.boundary_part) - r)
-        gap_band = abs(abs(q.h - c.h) - r * r)
-        assume(gap_ball > 1e-6 and gap_band > 1e-6)
-        shift = sg.HeisenbergTranslation(element=g)
-        moved_c = sg.psi(sg.apply(shift, sg.psi_inv(c)))
-        moved_q = sg.psi(sg.apply(shift, sg.psi_inv(q)))
-        assert sg.in_tent(c, r, q) == sg.in_tent(moved_c, r, moved_q)
-
-    @given(
-        c=charts(1, h_min=0.0),
-        q=charts(1, h_min=0.0),
-        delta=st.floats(min_value=0.3, max_value=3.0),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_membership_dilation_covariance(self, c, q, delta):
-        r = 0.8
-        gap_ball = abs(hg.distance(q.boundary_part, c.boundary_part) - r)
-        gap_band = abs(abs(q.h - c.h) - r * r)
-        assume(gap_ball > 1e-6 and gap_band > 1e-6)
-        scaled_c = sg.psi(sg.apply(sg.Dilation(delta=delta), sg.psi_inv(c)))
-        scaled_q = sg.psi(sg.apply(sg.Dilation(delta=delta), sg.psi_inv(q)))
-        assert sg.in_tent(c, r, q) == sg.in_tent(scaled_c, r * delta, scaled_q)
-
-    def test_in_tent_validation(self):
-        c = sg.HorocyclicCoordinates(z=np.zeros(1), t=0.0, h=1.0)
-        with pytest.raises(InvalidParameterError):
-            sg.in_tent(c, 0.0, c)
-        q2 = sg.HorocyclicCoordinates(z=np.zeros(2), t=0.0, h=1.0)
-        with pytest.raises(InvalidParameterError):
-            sg.in_tent(c, 1.0, q2)
-        with pytest.raises(InvalidParameterError):
-            sg.tent_volume(1, -1.0)
-
-
 class TestJson:
     def test_point_round_trip(self):
         p = sg.SiegelPoint(zeta_prime=np.array([0.5 - 2.0j]), zeta_last=1.5 + 2.5j)
@@ -369,20 +285,3 @@ class TestJson:
     def test_ball_point_round_trip(self):
         w = sg.BallPoint(omega=np.array([0.1 + 0.2j, -0.3j]))
         assert sg.ball_point_from_json(sg.ball_point_to_json(w)) == w
-
-    def test_automorphism_round_trip(self):
-        phi = sg.Composition(
-            maps=[
-                sg.HeisenbergTranslation(
-                    element=hg.HeisenbergElement(z=np.array([1.0 + 2.0j]), t=0.5)
-                ),
-                sg.Dilation(delta=2.0),
-                sg.Unitary(matrix=np.array([[1j]])),
-                sg.Inversion(),
-            ]
-        )
-        doc = sg.automorphism_to_json(phi)
-        back = sg.automorphism_from_json(doc)
-        p = sg.base_point(1)
-        assert point_gap(sg.apply(phi, p), sg.apply(back, p)) == 0.0
-        assert doc["kind"] == "composition" and len(doc["payload"]) == 4
