@@ -4,7 +4,11 @@ Three deterministic rule families plus a counter-based Monte Carlo fallback:
 
 * :class:`HalfLineRule` — Gauss rules for the weight ``x^a e^{-c x}`` on
   ``(0, ∞)``, built by the Golub–Welsch eigenvalue method from the
-  generalized-Laguerre three-term recurrence.
+  generalized-Laguerre three-term recurrence.  The standard (c = 1) rule is
+  cached per ``(exponent, node_count)`` and rescaled per call, so the
+  returned arrays are fresh and writable while the cached ones are
+  read-only.  The unit-interval Gauss–Jacobi rules behind
+  :func:`power_tail_axis` and :func:`power_ratio_integral` are cached too.
 * :class:`GaussianRule` — tensor Gauss–Hermite rules for the weight
   ``exp(-|x|^2 / (2 s^2))`` on ``R^d``.
 * :class:`BoxRule` — tensor products of one-dimensional mapped axes
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -106,6 +111,10 @@ def gauss_laguerre(exponent: float, scale: float, node_count: int) -> HalfLineRu
     its eigenvalues are the nodes and the squared first eigenvector components,
     times the total mass ``Γ(a+1)``, are the weights.  Scaling ``x -> x/c``
     maps the standard weight to ``x^a e^{-c x}``.
+
+    The standard (c = 1) rule is built once per ``(exponent, node_count)`` and
+    cached; each call rescales it, so the returned arrays are fresh and
+    writable while the cached ones stay read-only.
     """
     a, c = float(exponent), float(scale)
     if a <= -1.0:
@@ -114,6 +123,18 @@ def gauss_laguerre(exponent: float, scale: float, node_count: int) -> HalfLineRu
         raise InvalidParameterError(f"half-line scale must be positive, got {c}")
     if node_count < 1:
         raise InvalidParameterError(f"node_count must be >= 1, got {node_count}")
+    nodes, weights = _standard_laguerre(a, node_count)
+    return HalfLineRule(
+        exponent=a,
+        scale=c,
+        nodes=nodes / c,
+        weights=weights * c ** (-(a + 1.0)),
+    )
+
+
+@lru_cache(maxsize=512)
+def _standard_laguerre(a: float, node_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the Gauss rule for ``x^a e^{-x}``."""
     k = np.arange(node_count, dtype=float)
     alpha = 2.0 * k + a + 1.0
     beta = k * (k + a)
@@ -129,12 +150,12 @@ def gauss_laguerre(exponent: float, scale: float, node_count: int) -> HalfLineRu
     else:
         nodes, _ = eigh_tridiagonal(alpha, np.sqrt(beta[1:]))
         nodes, weights = _polish_golub_welsch(nodes, alpha, beta, math.lgamma(a + 1.0))
-    return HalfLineRule(
-        exponent=a,
-        scale=c,
-        nodes=nodes / c,
-        weights=weights * c ** (-(a + 1.0)),
-    )
+    return _read_only(nodes), _read_only(weights)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def _polish_golub_welsch(
@@ -326,12 +347,14 @@ def tan_half_axis(scale: float, panels: int = 4, order: int = 16) -> Axis1D:
     return Axis1D("tan_half", {"scale": scale, "panels": panels, "order": order}, x, w)
 
 
+@lru_cache(maxsize=512)
 def _gauss_jacobi_unit(beta: float, node_count: int) -> tuple[np.ndarray, np.ndarray]:
     """Golub–Welsch Gauss rule for the weight ``u^beta du`` on [0, 1].
 
     Built from the Jacobi(a=0, b=beta) orthonormal recurrence on [-1, 1]
     (coefficients per Gautschi), then affinely mapped to [0, 1] with the
-    weight normalization folded in.
+    weight normalization folded in.  Cached per ``(beta, node_count)``; the
+    returned arrays are the cached ones and are read-only.
     """
     b = float(beta)
     k = np.arange(node_count, dtype=float)
@@ -353,7 +376,7 @@ def _gauss_jacobi_unit(beta: float, node_count: int) -> tuple[np.ndarray, np.nda
     else:
         x, _ = eigh_tridiagonal(alpha, np.sqrt(rec_beta[1:]))
         x, w = _polish_golub_welsch(x, alpha, rec_beta, log_mu0)
-    return (1.0 + x) / 2.0, w * 2.0 ** (-b - 1.0)
+    return _read_only((1.0 + x) / 2.0), _read_only(w * 2.0 ** (-b - 1.0))
 
 
 def power_tail_axis(

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
@@ -142,11 +142,6 @@ def _conjugate_p_values(truncation: _fock.FockTruncation, mu, z_components, t):
     return out
 
 
-@lru_cache(maxsize=512)
-def _cached_laguerre(exponent: float, scale: float, node_count: int) -> _quad.HalfLineRule:
-    return _quad.gauss_laguerre(exponent, scale, node_count)
-
-
 # --------------------------------------------------------------------------
 # half-line integration engine
 # --------------------------------------------------------------------------
@@ -178,7 +173,7 @@ def _check_piece(piece: _Piece) -> None:
 def _pieces_value(pieces: Sequence[_Piece], node_count: int) -> complex:
     total = 0.0 + 0.0j
     for piece in pieces:
-        rule = _cached_laguerre(piece.power, piece.scale, node_count)
+        rule = _quad.gauss_laguerre(piece.power, piece.scale, node_count)
         total += complex(np.sum(rule.weights * piece.values(rule.nodes)))
     return total
 
@@ -661,7 +656,7 @@ def _numeric_halfline(
     count = node_count if node_count is not None else base
 
     def run(k: int) -> complex:
-        rule = _cached_laguerre(0.0, scale, k)
+        rule = _quad.gauss_laguerre(0.0, scale, k)
         return complex(np.sum(rule.plain_weights() * values(rule.nodes)))
 
     coarse = run(count)
@@ -705,9 +700,9 @@ def l2nu_norm_sq(
                     f"spectral norm diverges at infinity (decay {decay} <= 0)"
                 )
             count = node_count if node_count is not None else 96
-            rule = _cached_laguerre(exponent, decay, count)
+            rule = _quad.gauss_laguerre(exponent, decay, count)
             mass = float(np.sum(rule.weights))
-            fine = float(np.sum(_cached_laguerre(exponent, decay, 2 * count).weights))
+            fine = float(np.sum(_quad.gauss_laguerre(exponent, decay, 2 * count).weights))
             if abs(fine - mass) > rtol * abs(fine) + atol:
                 raise UnderResolvedError("frequency quadrature unresolved on a pure term")
             total += amplitude * fine
@@ -961,7 +956,7 @@ def synthesize_dirichlet(
 
 
 def _closed_profile_values(profile: SpectralProfile, z_components, t, h):
-    """Closed-form chart values of the synthesized function, or None."""
+    """Closed-form chart values of the synthesized function."""
     base, order = _unwrap_derived(profile)
     n = base.n
     if isinstance(base, KernelProfile):
@@ -1006,7 +1001,7 @@ def _closed_profile_values(profile: SpectralProfile, z_components, t, h):
             * math.gamma(order)
             * (np.power(at_base, -float(order)) - np.power(at_center, -float(order)))
         )
-    return None
+    raise InvalidParameterError(f"no closed form for profile type {type(base).__name__}")
 
 
 @dataclass(frozen=True)
@@ -1014,9 +1009,10 @@ class ProfileFunction:
     """Chart-evaluable view of a synthesized field, plus an optional additive
     constant (the constant is dropped by height derivatives).
 
-    ``evaluation`` selects closed-form values when the family admits them
-    ("auto"/"closed") or forces the frequency-quadrature path ("quadrature");
-    the logarithmic-kernel family's quadrature path is center-subtracted.
+    ``evaluation`` selects closed-form values ("auto" and "closed" are the
+    same, since every profile family has one) or the frequency-quadrature
+    path ("quadrature"); the logarithmic-kernel family's quadrature path is
+    center-subtracted.
     """
 
     profile: SpectralProfile
@@ -1036,16 +1032,9 @@ class ProfileFunction:
         return self.profile.n
 
     def chart_values(self, z_components, t, h) -> np.ndarray:
-        use_closed = self.evaluation in ("auto", "closed")
-        if use_closed:
-            closed = _closed_profile_values(self.profile, z_components, t, h)
-            if closed is not None:
-                return closed + self.constant
-            if self.evaluation == "closed":
-                raise InvalidParameterError(
-                    f"no closed form for profile type {type(self.profile).__name__}"
-                )
-        return self._quadrature_values(z_components, t, h) + self.constant
+        if self.evaluation == "quadrature":
+            return self._quadrature_values(z_components, t, h) + self.constant
+        return _closed_profile_values(self.profile, z_components, t, h) + self.constant
 
     def _quadrature_values(self, z_components, t, h) -> np.ndarray:
         profile = self.profile
@@ -1056,7 +1045,7 @@ class ProfileFunction:
         exponent = n + profile.trace_mu_power
         if not subtracted and exponent <= -1.0:
             raise DivergentIntegralError("synthesis integral diverges at frequency 0")
-        rule = _cached_laguerre(0.0 if subtracted else max(exponent, 0.0), scale, self.node_count)
+        rule = _quad.gauss_laguerre(0.0 if subtracted else max(exponent, 0.0), scale, self.node_count)
         weights = rule.plain_weights()
         total = 0.0
         center_z = [0.0 + 0.0j] * n

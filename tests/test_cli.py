@@ -1,6 +1,6 @@
 """Tests for the ``siegelpw`` command line: exit codes, config-file merging,
-report shapes, the scope of ``--tol``, and the ``kernel eval`` and ``norm``
-evaluators.
+report shapes, the scope of ``--tol``, and the ``kernel eval``, ``synth``,
+``norm`` and ``da-norm`` evaluators.
 
 Only suites without chart grids run here (``group``, ``fock``,
 ``drury-arveson``) and ``norm`` runs on the spectral side, so the whole file
@@ -182,8 +182,8 @@ def kernel_profile_json(nu, m):
 
 
 class TestEvaluators:
-    """The ``kernel eval`` and ``norm`` subcommands on the spectral side only,
-    so no chart grid runs."""
+    """The ``kernel eval``, ``synth``, ``norm`` and ``da-norm`` subcommands on
+    the spectral and coefficient sides only, so no chart grid runs."""
 
     def test_kernel_eval_dotted_log(self, tmp_path):
         code, doc = run_command(tmp_path, "kernel", "eval", "--id", "dirichlet-log", "--dotted", *POINTS)
@@ -222,3 +222,38 @@ class TestEvaluators:
         assert doc["constant"] == sp.norm_identity_constant(sp.DruryArveson(1), 1).text
         assert abs(doc["spectral"] - diagonal) < 1e-10 * diagonal
         assert "quadrature" not in doc
+
+    def test_synth_kernel_profile_is_the_kernel(self, tmp_path):
+        code, doc = run_command(
+            tmp_path, "synth", "--profile", kernel_profile_json(0.0, 0), "--zeta", json.dumps(ZETA)
+        )
+        assert code == 0
+        value = kr.kernel_eval(
+            kr.Bergman(0.0), psi_inv(chart_from_json(ZETA)), psi_inv(chart_from_json(OMEGA))
+        )
+        assert abs(complex(*doc["value"]) - value) < 1e-10 * abs(value)
+
+    def test_synth_dirichlet_adds_the_center_value(self, tmp_path):
+        base = point_to_json(psi_inv(chart_from_json(OMEGA)))
+        profile = json.dumps({"family": "dirichlet", "m": 2, "base": base})
+        code, doc = run_command(
+            tmp_path, "synth", "--profile", profile, "--zeta", json.dumps(ZETA),
+            "--center-value-re", "0.25",
+        )
+        assert code == 0
+        dotted = kr.kernel_eval(
+            kr.DirichletLog(2, dotted=True), psi_inv(chart_from_json(ZETA)), psi_inv(chart_from_json(OMEGA))
+        )
+        assert abs(complex(*doc["value"]) - (dotted + 0.25)) < 1e-8
+
+    def test_da_norm_methods_agree(self, tmp_path):
+        code, doc = run_command(tmp_path, "da-norm", "--poly", "z1*z2 + 0.5*z1^3", "--method", "both")
+        assert code == 0
+        assert doc["dim"] == 2
+        assert doc["difference"] <= 1e-8
+
+    def test_da_norm_malformed_poly_exits_two(self, tmp_path, capsys):
+        code, doc = run_command(tmp_path, "da-norm", "--poly", "z1*")
+        assert code == 2
+        assert doc is None
+        assert capsys.readouterr().err.startswith("error: ")

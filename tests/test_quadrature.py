@@ -105,6 +105,55 @@ class TestHalfLineRule:
             assert q.halfline_moment_error(rule, k) < 1e-12
 
 
+class TestRuleCaches:
+    """The standard Gauss–Laguerre rule is built once per (exponent,
+    node_count) and rescaled per call; Gauss–Jacobi rules are cached too."""
+
+    def test_scales_share_one_standard_build(self):
+        q._standard_laguerre.cache_clear()
+        for c in (0.3, 1.0, 2.5, 7.0, 11.0):
+            q.gauss_laguerre(1.25, c, 30)
+        info = q._standard_laguerre.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
+
+    @pytest.mark.parametrize("count", [1, 40, 151, 400])
+    def test_scaled_rule_is_the_rescaled_standard_rule(self, count):
+        # 1 node, the polished branch (≤ 150) and the eigenvector branch.
+        a, c = 0.75, 3.2
+        standard = q.gauss_laguerre(a, 1.0, count)
+        cold_nodes, cold_weights = q._standard_laguerre.__wrapped__(a, count)
+        assert np.array_equal(standard.nodes, cold_nodes)
+        assert np.array_equal(standard.weights, cold_weights)
+        rule = q.gauss_laguerre(a, c, count)
+        assert np.array_equal(rule.nodes, standard.nodes / c)
+        assert np.array_equal(rule.weights, standard.weights * c ** (-(a + 1.0)))
+
+    def test_cached_arrays_are_read_only_and_returned_ones_fresh(self):
+        nodes, weights = q._standard_laguerre(0.5, 12)
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        rule = q.gauss_laguerre(0.5, 1.0, 12)
+        expected = rule.nodes.copy()
+        rule.nodes[:] = -1.0
+        rule.weights[:] = -1.0
+        again = q.gauss_laguerre(0.5, 1.0, 12)
+        assert np.array_equal(again.nodes, expected)
+        assert np.all(again.weights > 0.0)
+
+    def test_jacobi_rule_is_cached_and_read_only(self):
+        first = q._gauss_jacobi_unit(1.5, 17)
+        hits = q._gauss_jacobi_unit.cache_info().hits
+        second = q._gauss_jacobi_unit(1.5, 17)
+        assert q._gauss_jacobi_unit.cache_info().hits == hits + 1
+        assert second[0] is first[0] and second[1] is first[1]
+        assert not first[0].flags.writeable and not first[1].flags.writeable
+
+    def test_caches_are_bounded(self):
+        for cached in (q._standard_laguerre, q._gauss_jacobi_unit):
+            assert cached.cache_info().maxsize is not None
+
+
 class TestGaussianRule:
     def test_total_mass_r2(self):
         # ∫_{R^2} e^{-|x|^2/2} dx = 2π

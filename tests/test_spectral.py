@@ -10,6 +10,7 @@ import cmath
 import json
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -560,6 +561,12 @@ class TestProfileFunction:
     def test_invalid_evaluation_mode_rejected(self):
         with pytest.raises(InvalidParameterError):
             sp.ProfileFunction(finite_two_slot(), evaluation="bogus")
+
+    @pytest.mark.parametrize("evaluation", ["auto", "closed"])
+    def test_foreign_profile_has_no_closed_form(self, evaluation):
+        z, t, h = [np.array([0.2 + 0.1j])], np.array([0.3]), np.array([0.8])
+        with pytest.raises(InvalidParameterError, match="no closed form"):
+            sp.ProfileFunction(SimpleNamespace(n=1), evaluation=evaluation).chart_values(z, t, h)
 
     def test_holomorphy_residuals_are_small_for_synthesized_fields(self):
         where = point([0.3 + 0.2j], 0.4, 0.9)
