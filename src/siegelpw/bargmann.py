@@ -6,10 +6,18 @@ For lambda > 0 the group element [z, t] acts on entire functions by
                         - (lambda/4)|z|^2) F(w + z),
 
 and for lambda < 0 the action is obtained exactly from the positive-
-frequency one through U_lambda[z,t] = U_{-lambda}[conj(z), -t].  Matrix
-entries with respect to the normalized monomial basis are computed by
-tensor Gauss quadrature against the Gaussian weight of the space, so a
-single code path serves both signs.
+frequency one through U_lambda[z,t] = U_{-lambda}[conj(z), -t].  In the
+normalized monomial basis U_lambda[z,t] is e^{i lambda t} times a tensor
+product over slots of Glauber displacement operators D(alpha_k), with
+alpha_k = -sqrt(|lambda|/2) conj(z_k) for lambda > 0 and, by the flip,
+alpha_k = -sqrt(|lambda|/2) z_k for lambda < 0.  Their entries are
+
+    <m|D(alpha)|k> = sqrt(k!/m!) alpha^{m-k} e^{-|alpha|^2/2}
+                     L_k^{(m-k)}(|alpha|^2)            (m >= k),
+
+and <m|D(alpha)|k> = conj(<k|D(-alpha)|m>) for m < k (Cahill and Glauber,
+Phys. Rev. 177, 1857 (1969); Folland, Harmonic Analysis in Phase Space,
+1989, ch. 1), so no matrix entry carries a quadrature error.
 
 The module also provides the closed-form top row of the matrix (the
 rank-one projection onto the constant), the one-parameter-derivative
@@ -23,20 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, UnderResolvedError
-from .fock import (
-    FockTruncation,
-    FockVector,
-    basis_values,
-    fock_quadrature_rule,
-    kernel_tail_bound,
-)
+from .errors import InvalidParameterError
+from .fock import FockTruncation, FockVector, basis_values, kernel_tail_bound
 from .heisenberg import HeisenbergElement
-
-# Quadrature rules need this many nodes beyond the basis degree before the
-# entry integrals are trusted.
-_NODE_MARGIN = 2
-_DEFAULT_EXTRA_NODES = 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,59 +73,48 @@ def _check_frequency(lam: float) -> float:
     return lam
 
 
-def action_values(lam: float, a: HeisenbergElement, trunc: FockTruncation, w_components):
-    """Values of (U[a] e_beta)(w) for every basis index, stacked along axis 0.
+def _displacement(alpha: complex, degree: int) -> np.ndarray:
+    """Entries <m|D(alpha)|k> for 0 <= m, k <= degree.
 
-    Negative frequencies delegate to the positive-frequency action of
-    [conj(z), -t], which reproduces the defining formula exactly.
+    The generalized Laguerre values L_k^{(a)}(|alpha|^2) come from the
+    three-term recurrence in k, run for every order a at once.
+    """
+    x = abs(alpha) ** 2
+    order = np.arange(degree + 1, dtype=float)
+    laguerre = np.ones((degree + 1, degree + 1))  # [k, a] -> L_k^{(a)}(x)
+    if degree >= 1:
+        laguerre[1] = 1.0 + order - x
+    for k in range(1, degree):
+        laguerre[k + 1] = (
+            (2 * k + 1 + order - x) * laguerre[k] - (k + order) * laguerre[k - 1]
+        ) / (k + 1)
+    row, col = np.indices((degree + 1, degree + 1))
+    low, gap = np.minimum(row, col), np.abs(row - col)
+    log_factorials = np.array([math.lgamma(j + 1.0) for j in range(degree + 1)])
+    scale = np.exp(0.5 * (log_factorials[low] - log_factorials[low + gap]) - 0.5 * x)
+    power = np.where(row >= col, alpha**gap, (-np.conj(alpha)) ** gap)
+    return scale * power * laguerre[low, gap]
+
+
+def rep_matrix(lam: float, a: HeisenbergElement, trunc: FockTruncation) -> RepMatrix:
+    """Matrix entries <e_alpha, U_lambda[a] e_beta> in closed form.
+
+    One displacement matrix per slot, with alpha_k = -sqrt(|lambda|/2)
+    conj(z_k) for lambda > 0 and -sqrt(|lambda|/2) z_k for lambda < 0 (the
+    flip U_lambda[z,t] = U_{-lambda}[conj(z), -t]), multiplied over the
+    multi-indices of the truncation and by e^{i lambda t}.  Gauss-Hermite
+    quadrature of the defining action reproduces these entries (see the
+    tests), as do the two references in the module docstring.
     """
     lam = _check_frequency(lam)
-    if lam < 0.0:
-        flipped = HeisenbergElement(z=np.conj(a.z), t=-a.t)
-        return action_values(-lam, flipped, trunc, w_components)
-    w = [np.asarray(c, dtype=np.complex128) for c in w_components]
-    if len(w) != trunc.n or a.n != trunc.n:
+    if a.n != trunc.n:
         raise InvalidParameterError("dimension mismatch in the action")
-    z = a.z
-    pairing = sum(wc * np.conj(zc) for wc, zc in zip(w, z))
-    prefactor = np.exp(
-        1j * lam * a.t
-        - 0.5 * lam * pairing
-        - 0.25 * lam * float(np.sum(np.abs(z) ** 2))
-    )
-    shifted = [wc + zc for wc, zc in zip(w, z)]
-    return prefactor * basis_values(trunc, lam, shifted)
-
-
-def rep_matrix(
-    lam: float,
-    a: HeisenbergElement,
-    trunc: FockTruncation,
-    node_count: int | None = None,
-) -> RepMatrix:
-    """Matrix entries of the action by tensor Gauss quadrature."""
-    lam = _check_frequency(lam)
-    if node_count is None:
-        node_count = trunc.max_degree + _DEFAULT_EXTRA_NODES
-    if node_count < trunc.max_degree + _NODE_MARGIN:
-        raise UnderResolvedError(
-            f"{node_count} nodes cannot resolve degree {trunc.max_degree} entries"
-        )
-    n = trunc.n
-    rule = fock_quadrature_rule(n, lam, node_count=node_count)
-    grids = np.meshgrid(*([rule.nodes] * (2 * n)), indexing="ij")
-    # Tensor weights, built by outer products on the flattened grid.
-    weight = np.ones_like(grids[0])
-    for axis in range(2 * n):
-        shape = [1] * (2 * n)
-        shape[axis] = -1
-        weight = weight * rule.weights.reshape(shape)
-    flat_weight = weight.ravel()
-    w = [grids[j].ravel() + 1j * grids[n + j].ravel() for j in range(n)]
-    acted = action_values(lam, a, trunc, w)
-    basis = basis_values(trunc, lam, w)
-    normalization = (abs(lam) / (2.0 * math.pi)) ** n
-    entries = normalization * (np.conj(basis) * flat_weight) @ acted.T
+    shift = -math.sqrt(0.5 * abs(lam)) * (np.conj(a.z) if lam > 0.0 else a.z)
+    indices = np.array(trunc.indices).reshape(trunc.dim, trunc.n)
+    entries = np.full((trunc.dim, trunc.dim), np.exp(1j * lam * a.t))
+    for slot, alpha in enumerate(shift):
+        factor = _displacement(complex(alpha), trunc.max_degree)
+        entries = entries * factor[np.ix_(indices[:, slot], indices[:, slot])]
     return RepMatrix(lam=lam, element=a, truncation=trunc, entries=entries)
 
 
@@ -224,15 +210,15 @@ def derivative_matrix(
     raise InvalidParameterError(f"unknown field {field!r}")
 
 
-def _difference_quotient(lam, trunc, path, step, node_count):
-    forward = rep_matrix(lam, path(step), trunc, node_count=node_count).entries
-    backward = rep_matrix(lam, path(-step), trunc, node_count=node_count).entries
+def _difference_quotient(lam, trunc, path, step):
+    forward = rep_matrix(lam, path(step), trunc).entries
+    backward = rep_matrix(lam, path(-step), trunc).entries
     return (forward - backward) / (2.0 * step)
 
 
-def _richardson_derivative(lam, trunc, path, step, node_count):
-    coarse = _difference_quotient(lam, trunc, path, step, node_count)
-    fine = _difference_quotient(lam, trunc, path, 0.5 * step, node_count)
+def _richardson_derivative(lam, trunc, path, step):
+    coarse = _difference_quotient(lam, trunc, path, step)
+    fine = _difference_quotient(lam, trunc, path, 0.5 * step)
     return (4.0 * fine - coarse) / 3.0
 
 
@@ -242,7 +228,6 @@ def dsigma_check(
     trunc: FockTruncation,
     slot: int = 0,
     step: float = 1e-4,
-    node_count: int | None = None,
 ) -> float:
     """Max-entry residual between difference quotients and the closed form.
 
@@ -272,10 +257,10 @@ def dsigma_check(
         return HeisenbergElement(z=z, t=0.0)
 
     if field == "T":
-        got = _richardson_derivative(lam, trunc, central_element, step, node_count)
+        got = _richardson_derivative(lam, trunc, central_element, step)
     elif field in ("Zbar_right", "Z"):
-        d_real = _richardson_derivative(lam, trunc, real_shift, step, node_count)
-        d_imag = _richardson_derivative(lam, trunc, imag_shift, step, node_count)
+        d_real = _richardson_derivative(lam, trunc, real_shift, step)
+        d_imag = _richardson_derivative(lam, trunc, imag_shift, step)
         sign = 1j if field == "Zbar_right" else -1j
         got = 0.5 * (d_real + sign * d_imag)
     else:

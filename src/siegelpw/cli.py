@@ -366,28 +366,23 @@ def _check_group_distance_dilation(cfg: SuiteConfig, rng) -> CheckData:
 
 
 def _fock_truncation(cfg: SuiteConfig) -> fk.FockTruncation:
-    degree = 3 if (cfg.fast or cfg.n >= 2) else 4
-    return fk.FockTruncation(n=cfg.n, max_degree=degree)
+    return fk.FockTruncation(n=cfg.n, max_degree=4)
 
 
 def _check_fock_pairing(cfg: SuiteConfig, rng) -> CheckData:
     lam = -2.0
     trunc = _fock_truncation(cfg)
-    worst = 0.0
-    vectors = [fk.basis_vector(trunc, alpha) for alpha in trunc.indices]
-    for i, f in enumerate(vectors):
-        for j, g in enumerate(vectors):
-            by_quad = fk.gaussian_pairing(
-                lam,
-                cfg.n,
-                lambda *z, vec=f: fk.evaluate(vec, lam, list(z)),
-                lambda *z, vec=g: fk.evaluate(vec, lam, list(z)),
-                node_count=20,
-            )
-            expected = 1.0 if i == j else 0.0
-            worst = max(worst, abs(by_quad - expected))
+    rule = fk.fock_quadrature_rule(cfg.n, lam, node_count=20)
+    grids = np.meshgrid(*([rule.nodes] * (2 * cfg.n)), indexing="ij")
+    weight = np.prod(np.meshgrid(*([rule.weights] * (2 * cfg.n)), indexing="ij"), axis=0)
+    z = [grids[j].ravel() + 1j * grids[cfg.n + j].ravel() for j in range(cfg.n)]
+    basis = fk.basis_values(trunc, lam, z)
+    gram = (abs(lam) / (2.0 * math.pi)) ** cfg.n * (basis * weight.ravel()) @ basis.conj().T
+    deviation = np.abs(gram - np.eye(trunc.dim))
+    i, j = np.unravel_index(np.argmax(deviation), deviation.shape)
     return CheckData(
-        by_quad, expected, worst, 1e-10, rules="Gauss-Hermite pairs, 20 nodes"
+        gram[i, j], float(i == j), float(deviation[i, j]), 1e-10,
+        rules="Gauss-Hermite Gram matrix as one product B W B^H, 20 nodes",
     )
 
 
@@ -423,27 +418,40 @@ def _check_fock_truncation_budget(cfg: SuiteConfig, rng) -> CheckData:
 # ---------------------------------------------------------------------------
 
 
+def _homomorphism_degree(lam, a, b, tol) -> int:
+    """Smallest degree >= 8 whose Cauchy-Schwarz bound on the mass that the
+    product of the truncated matrices drops from the degree <= 4 block is
+    at most tol."""
+    degree = 8
+    while True:
+        trunc = fk.FockTruncation(n=a.n, max_degree=degree)
+        leak = bg.column_defect_bound(lam, a, trunc, 4) * bg.column_defect_bound(lam, b, trunc, 4)
+        if math.sqrt(leak) <= tol:
+            return degree
+        degree += 1
+
+
 def _check_bargmann_homomorphism(cfg: SuiteConfig, rng) -> CheckData:
-    lam = -2.0
-    degree = 8 if (cfg.fast or cfg.n >= 2) else 10
-    trunc = fk.FockTruncation(n=cfg.n, max_degree=degree)
-    block = [i for i, alpha in enumerate(trunc.indices) if alpha.degree <= 4]
-    worst = 0.0
+    lam, tolerance = -2.0, 1e-8
+    worst, degrees = 0.0, []
     for _ in range(3):
         a = _rand_heisenberg(rng, cfg.n, z_scale=0.1)
         b = _rand_heisenberg(rng, cfg.n, z_scale=0.1)
+        degrees.append(_homomorphism_degree(lam, a, b, 1e-2 * tolerance))
+        trunc = fk.FockTruncation(n=cfg.n, max_degree=degrees[-1])
+        block = [i for i, alpha in enumerate(trunc.indices) if alpha.degree <= 4]
         product = bg.rep_matrix(lam, a, trunc).entries @ bg.rep_matrix(lam, b, trunc).entries
         direct = bg.rep_matrix(lam, hb.mul(a, b), trunc).entries
         grid = np.ix_(block, block)
         worst = max(worst, float(np.max(np.abs(product[grid] - direct[grid]))))
     return CheckData(
-        worst, 0.0, worst, 1e-8, rules=f"matrix block degree<=4 of {degree}"
+        worst, 0.0, worst, tolerance,
+        rules=f"matrix block degree<=4 of degrees {', '.join(map(str, degrees))}",
     )
 
 
 def _check_bargmann_unitarity(cfg: SuiteConfig, rng) -> CheckData:
-    lam = -2.0
-    degree = 8 if (cfg.fast or cfg.n >= 2) else 10
+    lam, degree = -2.0, 10
     trunc = fk.FockTruncation(n=cfg.n, max_degree=degree)
     worst = 0.0
     for _ in range(2):
@@ -460,7 +468,7 @@ def _check_bargmann_unitarity(cfg: SuiteConfig, rng) -> CheckData:
 
 def _check_bargmann_derivative_fields(cfg: SuiteConfig, rng) -> CheckData:
     lam = -2.0
-    trunc = fk.FockTruncation(n=cfg.n, max_degree=4 if cfg.n >= 2 else 6)
+    trunc = fk.FockTruncation(n=cfg.n, max_degree=6)
     worst = max(
         bg.dsigma_check(lam, path, trunc) for path in ("T", "Z", "Zbar_right")
     )
@@ -468,8 +476,7 @@ def _check_bargmann_derivative_fields(cfg: SuiteConfig, rng) -> CheckData:
 
 
 def _check_bargmann_projection_tail(cfg: SuiteConfig, rng) -> CheckData:
-    lam = -2.0
-    degree = 8 if (cfg.fast or cfg.n >= 2) else 12
+    lam, degree = -2.0, 12
     trunc = fk.FockTruncation(n=cfg.n, max_degree=degree)
     worst = 0.0
     for _ in range(3):

@@ -117,9 +117,9 @@ def gauss_laguerre(exponent: float, scale: float, node_count: int) -> HalfLineRu
     writable while the cached ones stay read-only.
     """
     a, c = float(exponent), float(scale)
-    if a <= -1.0:
+    if not a > -1.0:
         raise InvalidParameterError(f"half-line exponent must exceed -1, got {a}")
-    if c <= 0.0:
+    if not c > 0.0:
         raise InvalidParameterError(f"half-line scale must be positive, got {c}")
     if node_count < 1:
         raise InvalidParameterError(f"node_count must be >= 1, got {node_count}")
@@ -251,7 +251,7 @@ class GaussianRule:
 
 def gaussian_rule(variance_scale: float, node_count: int, dimension: int) -> GaussianRule:
     s = float(variance_scale)
-    if s <= 0.0:
+    if not s > 0.0:
         raise InvalidParameterError(f"variance scale must be positive, got {s}")
     if dimension < 1:
         raise InvalidParameterError(f"dimension must be >= 1, got {dimension}")
@@ -438,11 +438,11 @@ def power_ratio_integral(beta: float, q: float, node_count: int = 48) -> float:
     """
     beta = float(beta)
     q = float(q)
-    if beta <= -1.0:
+    if not beta > -1.0:
         raise DivergentIntegralError(
             f"power weight exponent must exceed -1, got {beta}"
         )
-    if q - beta - 1.0 <= 0.0:
+    if not q - beta - 1.0 > 0.0:
         raise DivergentIntegralError(
             f"need q > beta + 1 for a convergent tail, got beta={beta}, q={q}"
         )

@@ -1,4 +1,8 @@
-"""Tests for the Heisenberg action on the truncated Fock space."""
+"""Tests for the Heisenberg action on the truncated Fock space.
+
+The closed-form matrices are checked against ``quadrature_rep_matrix``, which
+integrates the defining action on a 2n-D Gauss-Hermite tensor grid.
+"""
 
 import math
 
@@ -8,7 +12,7 @@ import pytest
 import siegelpw.bargmann as bg
 import siegelpw.fock as fk
 import siegelpw.heisenberg as hg
-from siegelpw.errors import InvalidParameterError, UnderResolvedError
+from siegelpw.errors import InvalidParameterError
 
 
 def element(z_entries, t):
@@ -24,12 +28,52 @@ def random_element(n, seed, z_scale=1.0):
     return hg.HeisenbergElement(z=z, t=float(rng.uniform(-2, 2)))
 
 
+def action_values(lam, a, trunc, w_components):
+    """Values of (U[a] e_beta)(w) for every basis index, stacked along axis 0;
+    negative frequencies use the positive-frequency action of [conj(z), -t]."""
+    if lam < 0.0:
+        flipped = hg.HeisenbergElement(z=np.conj(a.z), t=-a.t)
+        return action_values(-lam, flipped, trunc, w_components)
+    w = [np.asarray(c, dtype=np.complex128) for c in w_components]
+    pairing = sum(wc * np.conj(zc) for wc, zc in zip(w, a.z))
+    prefactor = np.exp(
+        1j * lam * a.t - 0.5 * lam * pairing - 0.25 * lam * float(np.sum(np.abs(a.z) ** 2))
+    )
+    shifted = [wc + zc for wc, zc in zip(w, a.z)]
+    return prefactor * fk.basis_values(trunc, lam, shifted)
+
+
+def quadrature_rep_matrix(lam, a, trunc):
+    """Entries <e_alpha, U[a] e_beta> by tensor Gauss-Hermite quadrature of the
+    action against the Gaussian weight, with 14 nodes per axis beyond the
+    degree; only the exponential prefactor of the action is approximated."""
+    n = trunc.n
+    rule = fk.fock_quadrature_rule(n, lam, node_count=trunc.max_degree + 14)
+    grids = np.meshgrid(*([rule.nodes] * (2 * n)), indexing="ij")
+    weight = np.prod(np.meshgrid(*([rule.weights] * (2 * n)), indexing="ij"), axis=0).ravel()
+    w = [grids[j].ravel() + 1j * grids[n + j].ravel() for j in range(n)]
+    acted = action_values(lam, a, trunc, w)
+    basis = fk.basis_values(trunc, lam, w)
+    normalization = (abs(lam) / (2.0 * math.pi)) ** n
+    return normalization * (np.conj(basis) * weight) @ acted.T
+
+
 class TestRepMatrix:
     @pytest.mark.parametrize("lam", [2.0, -2.0])
     def test_identity_element_gives_identity_matrix(self, lam):
-        trunc = fk.FockTruncation(n=1, max_degree=6)
-        m = bg.rep_matrix(lam, hg.identity(1), trunc)
-        assert np.max(np.abs(m.entries - np.eye(trunc.dim))) < 1e-12
+        for n, max_degree in ((1, 6), (2, 5)):
+            trunc = fk.FockTruncation(n=n, max_degree=max_degree)
+            m = bg.rep_matrix(lam, hg.identity(n), trunc)
+            assert np.array_equal(m.entries, np.eye(trunc.dim))
+
+    @pytest.mark.parametrize("lam", [2.0, -2.0, -0.7])
+    @pytest.mark.parametrize("n, max_degree", [(1, 10), (2, 4)])
+    def test_closed_form_matches_gauss_hermite_reference(self, n, max_degree, lam):
+        trunc = fk.FockTruncation(n=n, max_degree=max_degree)
+        for seed in (21, 22):
+            a = random_element(n, seed, z_scale=1.5)
+            closed = bg.rep_matrix(lam, a, trunc).entries
+            assert np.max(np.abs(closed - quadrature_rep_matrix(lam, a, trunc))) <= 1e-10
 
     def test_corner_entry_closed_form_positive_frequency(self):
         lam, trunc = 2.0, fk.FockTruncation(n=1, max_degree=5)
@@ -114,11 +158,6 @@ class TestRepMatrix:
                     assert 1.0 - norms_sq[j] <= bound + 1e-9
                     assert norms_sq[j] <= 1.0 + 1e-9
 
-    def test_under_resolved_rule_rejected(self):
-        trunc = fk.FockTruncation(n=1, max_degree=8)
-        with pytest.raises(UnderResolvedError):
-            bg.rep_matrix(-2.0, hg.identity(1), trunc, node_count=6)
-
     def test_zero_frequency_rejected(self):
         trunc = fk.FockTruncation(n=1, max_degree=2)
         with pytest.raises(InvalidParameterError):
@@ -139,12 +178,13 @@ class TestP0Row:
             bg.p0_row(2.0, hg.identity(1), trunc)
 
     def test_matches_top_row_of_matrix(self):
-        lam, trunc = -2.0, fk.FockTruncation(n=1, max_degree=8)
-        for seed in (9, 10):
-            a = random_element(1, seed)
-            row = bg.p0_row(lam, a, trunc)
-            m = bg.rep_matrix(lam, a, trunc)
-            assert np.max(np.abs(m.entries[0, :] - row.coeffs)) < 1e-9
+        for n, max_degree, lam in ((1, 8, -2.0), (1, 8, -0.7), (2, 6, -2.0), (2, 6, -0.7)):
+            trunc = fk.FockTruncation(n=n, max_degree=max_degree)
+            for seed in (9, 10):
+                a = random_element(n, seed)
+                row = bg.p0_row(lam, a, trunc)
+                m = bg.rep_matrix(lam, a, trunc)
+                assert np.max(np.abs(m.entries[0, :] - row.coeffs)) <= 1e-14
 
     @pytest.mark.parametrize("n,max_degree", [(1, 12), (2, 10)])
     def test_truncated_norm_within_tail_of_one(self, n, max_degree):

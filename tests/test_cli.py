@@ -2,7 +2,7 @@
 report shapes, the scope of ``--tol``, and the ``kernel eval``, ``synth``,
 ``norm`` and ``da-norm`` evaluators.
 
-Only suites without chart grids run here (``group``, ``fock``,
+Only suites without chart grids run here (``group``, ``fock``, ``bargmann``,
 ``drury-arveson``) and ``norm`` runs on the spectral side, so the whole file
 takes seconds.
 """
@@ -10,6 +10,7 @@ takes seconds.
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -149,6 +150,29 @@ class TestToleranceOverride:
         result = cli._run_check(spec, cli.SuiteConfig(fast=True, tol=1e-12))
         assert result.tolerance == tolerance
         assert result.passed
+
+
+class TestFockAndBargmannSuites:
+    """Closed-form Bargmann matrices and the one-product Fock Gram keep both
+    suites at seconds for n = 2 and for ``--fast``, with one degree per
+    check (the Gauss-Hermite versions took about 30 s at n = 2)."""
+
+    @pytest.mark.parametrize("suite", ["bargmann", "fock"])
+    @pytest.mark.parametrize("flags", [["--n", "2"], ["--fast"]], ids=["n2", "fast"])
+    def test_suite_passes_in_seconds(self, tmp_path, suite, flags):
+        start = time.perf_counter()
+        code, report = run_verify(tmp_path, "--suite", suite, *flags)
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert report["passed"] is True
+        assert elapsed < 5.0
+
+    def test_homomorphism_rules_name_the_degrees(self):
+        cfg = cli.SuiteConfig(n=2, seed=1)
+        data = cli._check_bargmann_homomorphism(cfg, cli._check_rng(cfg, "bargmann-homomorphism"))
+        degrees = [int(d) for d in data.rules.split("degrees ")[1].split(", ")]
+        assert len(degrees) == 3 and min(degrees) >= 8
+        assert data.rel_error <= 1e-2 * data.tolerance
 
 
 class TestProjectionTail:

@@ -12,7 +12,7 @@ import pytest
 from scipy import special
 
 from siegelpw import quadrature as q
-from siegelpw.errors import InvalidParameterError
+from siegelpw.errors import DivergentIntegralError, InvalidParameterError
 
 try:
     from hypothesis import given, settings
@@ -180,6 +180,25 @@ class TestGaussianRule:
         got = q.integrate_gaussian(rule, lambda x: np.exp(1j * x))
         exact = math.sqrt(2.0 * math.pi) * math.exp(-0.5)
         assert abs(got - exact) < 1e-12
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: q.gauss_laguerre(NAN, 1.0, 5), InvalidParameterError),
+        (lambda: q.gauss_laguerre(0.0, NAN, 5), InvalidParameterError),
+        (lambda: q.gaussian_rule(NAN, 5, 1), InvalidParameterError),
+        (lambda: q.power_ratio_integral(NAN, 3.0), DivergentIntegralError),
+        (lambda: q.power_ratio_integral(0.5, NAN), DivergentIntegralError),
+    ],
+    ids=["laguerre-exponent", "laguerre-scale", "gaussian-scale", "power-beta", "power-q"],
+)
+def test_nan_arguments_rejected(build, error):
+    with pytest.raises(error):
+        build()
 
 
 class TestBoxRule:
