@@ -303,6 +303,16 @@ def _rel(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / scale
 
 
+def _worst_case(cases: Sequence[tuple[float, complex, complex]]) -> tuple[float, complex, complex]:
+    """The ``(error, lhs, rhs)`` case that sets ``max(0.0, *errors)``; ties
+    keep the earlier case."""
+    worst = (0.0, cases[0][1], cases[0][2])
+    for case in cases:
+        if case[0] > worst[0]:
+            worst = case
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # Suite: group
 # ---------------------------------------------------------------------------
@@ -339,24 +349,26 @@ def _check_group_identity_inverse(cfg: SuiteConfig, rng) -> CheckData:
 
 
 def _check_group_norm_homogeneity(cfg: SuiteConfig, rng) -> CheckData:
-    worst = 0.0
+    cases = []
     for _ in range(min(cfg.pairs, 200)):
         a = _rand_heisenberg(rng, cfg.n)
         delta = float(rng.uniform(0.2, 3.0))
         lhs = hb.homogeneous_norm(hb.dilate(delta, a))
         rhs = delta * hb.homogeneous_norm(a)
-        worst = max(worst, _rel(lhs, rhs))
+        cases.append((_rel(lhs, rhs), lhs, rhs))
+    worst, lhs, rhs = _worst_case(cases)
     return CheckData(lhs, rhs, worst, 1e-13)
 
 
 def _check_group_distance_dilation(cfg: SuiteConfig, rng) -> CheckData:
-    worst = 0.0
+    cases = []
     for _ in range(min(cfg.pairs, 200)):
         a, b = _rand_heisenberg(rng, cfg.n), _rand_heisenberg(rng, cfg.n)
         delta = float(rng.uniform(0.2, 3.0))
         lhs = hb.distance(hb.dilate(delta, a), hb.dilate(delta, b))
         rhs = delta * hb.distance(a, b)
-        worst = max(worst, _rel(lhs, rhs))
+        cases.append((_rel(lhs, rhs), lhs, rhs))
+    worst, lhs, rhs = _worst_case(cases)
     return CheckData(lhs, rhs, worst, 1e-13)
 
 
@@ -369,20 +381,30 @@ def _fock_truncation(cfg: SuiteConfig) -> fk.FockTruncation:
     return fk.FockTruncation(n=cfg.n, max_degree=4)
 
 
+def _fock_gram(trunc: fk.FockTruncation, lam: float, node_count: int) -> np.ndarray:
+    """Gram matrix of the truncation's basis under the tensor Gauss-Hermite
+    rule with ``node_count`` nodes per real axis, as one product B W B^H."""
+    n = trunc.n
+    rule = fk.fock_quadrature_rule(n, lam, node_count=node_count)
+    grids = np.meshgrid(*([rule.nodes] * (2 * n)), indexing="ij")
+    weight = np.prod(np.meshgrid(*([rule.weights] * (2 * n)), indexing="ij"), axis=0)
+    z = [grids[j].ravel() + 1j * grids[n + j].ravel() for j in range(n)]
+    basis = fk.basis_values(trunc, lam, z)
+    return (abs(lam) / (2.0 * math.pi)) ** n * (basis * weight.ravel()) @ basis.conj().T
+
+
 def _check_fock_pairing(cfg: SuiteConfig, rng) -> CheckData:
     lam = -2.0
     trunc = _fock_truncation(cfg)
-    rule = fk.fock_quadrature_rule(cfg.n, lam, node_count=20)
-    grids = np.meshgrid(*([rule.nodes] * (2 * cfg.n)), indexing="ij")
-    weight = np.prod(np.meshgrid(*([rule.weights] * (2 * cfg.n)), indexing="ij"), axis=0)
-    z = [grids[j].ravel() + 1j * grids[cfg.n + j].ravel() for j in range(cfg.n)]
-    basis = fk.basis_values(trunc, lam, z)
-    gram = (abs(lam) / (2.0 * math.pi)) ** cfg.n * (basis * weight.ravel()) @ basis.conj().T
+    # Each real axis sees polynomials of degree <= 2 * max_degree, which the
+    # Gauss-Hermite rule with max_degree + 1 nodes integrates exactly.
+    nodes = trunc.max_degree + 1
+    gram = _fock_gram(trunc, lam, nodes)
     deviation = np.abs(gram - np.eye(trunc.dim))
     i, j = np.unravel_index(np.argmax(deviation), deviation.shape)
     return CheckData(
         gram[i, j], float(i == j), float(deviation[i, j]), 1e-10,
-        rules="Gauss-Hermite Gram matrix as one product B W B^H, 20 nodes",
+        rules=f"Gauss-Hermite Gram matrix as one product B W B^H, {nodes} nodes (exact)",
     )
 
 
@@ -390,7 +412,7 @@ def _check_fock_kernel_truncation(cfg: SuiteConfig, rng) -> CheckData:
     lam = -2.0
     degree = 10
     trunc = fk.FockTruncation(n=1, max_degree=degree)
-    worst_ratio = 0.0
+    cases = []
     for _ in range(10):
         z = [complex(rng.normal(0, 0.5), rng.normal(0, 0.5))]
         w = [complex(rng.normal(0, 0.5), rng.normal(0, 0.5))]
@@ -398,10 +420,9 @@ def _check_fock_kernel_truncation(cfg: SuiteConfig, rng) -> CheckData:
         partial = complex(fk.kernel_partial_sum(trunc, lam, z, w))
         bound = fk.kernel_tail_bound(degree, 0.5 * abs(lam) * abs(z[0]) * abs(w[0]))
         floor = 5e-14 * max(1.0, abs(closed))  # rounding allowance under the bound
-        worst_ratio = max(worst_ratio, abs(closed - partial) / (bound + floor))
-    return CheckData(
-        abs(closed - partial), bound, worst_ratio, 1.0, rules="series truncation bound", metric="bound-ratio"
-    )
+        cases.append((abs(closed - partial) / (bound + floor), abs(closed - partial), bound))
+    worst_ratio, gap, bound = _worst_case(cases)
+    return CheckData(gap, bound, worst_ratio, 1.0, rules="series truncation bound", metric="bound-ratio")
 
 
 def _check_fock_truncation_budget(cfg: SuiteConfig, rng) -> CheckData:
@@ -478,14 +499,15 @@ def _check_bargmann_derivative_fields(cfg: SuiteConfig, rng) -> CheckData:
 def _check_bargmann_projection_tail(cfg: SuiteConfig, rng) -> CheckData:
     lam, degree = -2.0, 12
     trunc = fk.FockTruncation(n=cfg.n, max_degree=degree)
-    worst = 0.0
+    cases = []
     for _ in range(3):
         a = _rand_heisenberg(rng, cfg.n)
         row = bg.p0_row(lam, a, trunc)
         deficit = 1.0 - fk.norm_sq(row)
         bound = bg.p0_tail_deficit_bound(lam, a, degree)
         floor = 5e-14  # rounding allowance of the unit-norm sum under the bound
-        worst = max(worst, deficit / (bound + floor))
+        cases.append((deficit / (bound + floor), deficit, bound))
+    worst, deficit, bound = _worst_case(cases)
     return CheckData(deficit, bound, worst, 1.0, rules="series truncation bound", metric="bound-ratio")
 
 
@@ -532,14 +554,13 @@ def _check_pw_m_independence_quadrature(cfg: SuiteConfig, rng) -> CheckData:
     profile = sp.KernelProfile(cfg.n, nu, base, 1)
     F = sp.ProfileFunction(profile)
     spectral = sp.l2nu_norm_sq(profile, nu)
-    worst = 0.0
+    cases = []
     for m in (1, 2):
         volume = sp.space_norm_sq(F, sp.WeightedDirichlet(nu, m), rules)
         constant = sp.norm_identity_constant(sp.WeightedDirichlet(nu, m), cfg.n).value
-        worst = max(worst, _rel(volume, constant * spectral))
-    return CheckData(
-        volume, constant * spectral, worst, 1e-3, 2e-2, _rules_label(rules)
-    )
+        cases.append((_rel(volume, constant * spectral), volume, constant * spectral))
+    worst, volume, expected = _worst_case(cases)
+    return CheckData(volume, expected, worst, 1e-3, 2e-2, _rules_label(rules))
 
 
 def _check_pw_m_independence_spectral(cfg: SuiteConfig, rng) -> CheckData:
@@ -551,13 +572,14 @@ def _check_pw_m_independence_spectral(cfg: SuiteConfig, rng) -> CheckData:
         cases = [(-2.0, 1), (-2.0, 2), (-1.5, 1), (-1.5, 2)]
     else:
         cases = [(-3.0, 2), (-3.0, 3), (-2.5, 1), (-2.5, 2)]
-    worst = 0.0
+    rows = []
     for nu, m in cases:
         kid = kr.WeightedDirichlet(nu, m)
         profile = sp.KernelProfile(cfg.n, nu, base, m)
         lhs = sp.norm_identity_constant(kid, cfg.n).value * sp.l2nu_norm_sq(profile, nu)
         rhs = kr.kernel_eval(kid, base, base).real
-        worst = max(worst, _rel(lhs, rhs))
+        rows.append((_rel(lhs, rhs), lhs, rhs))
+    worst, lhs, rhs = _worst_case(rows)
     return CheckData(lhs, rhs, worst, 1e-10, rules="weighted spectral quadrature")
 
 
@@ -680,23 +702,25 @@ def _check_kernels_gram_psd(cfg: SuiteConfig, rng) -> CheckData:
 
 
 def _check_kernels_qpower_nested(cfg: SuiteConfig, rng) -> CheckData:
-    worst = 0.0
+    cases = []
     for a, b in ((0.0, 1.0), (1.0, 0.5)):
         constant = kr.q_power_integral_constant(a, b, cfg.n).value
         nested = kr.q_power_integral_nested(a, b, cfg.n)
-        worst = max(worst, abs(nested - constant) / constant)
+        cases.append((abs(nested - constant) / constant, nested, constant))
+    worst, nested, constant = _worst_case(cases)
     return CheckData(nested, constant, worst, 1e-10, rules="nested Gauss-Jacobi, 48 nodes")
 
 
 def _check_kernels_qpower_mc(cfg: SuiteConfig, rng) -> CheckData:
     samples = 50_000 if cfg.fast else 200_000
-    worst = 0.0
+    cases = []
     for a, b in ((0.0, 1.0), (1.0, 0.5)):
         constant = kr.q_power_integral_constant(a, b, cfg.n).value
         estimate, stderr = kr.q_power_integral_mc(
             a, b, cfg.n, sample_count=samples, seed=cfg.seed
         )
-        worst = max(worst, abs(estimate - constant) / (3.0 * stderr))
+        cases.append((abs(estimate - constant) / (3.0 * stderr), estimate, constant))
+    worst, estimate, constant = _worst_case(cases)
     return CheckData(
         estimate, constant, worst, 1.0, rules=f"importance sampling, {samples} draws", metric="z-score"
     )

@@ -120,12 +120,6 @@ class FockVector:
         )
 
 
-def basis_vector(trunc: FockTruncation, alpha) -> FockVector:
-    coeffs = np.zeros(trunc.dim, dtype=np.complex128)
-    coeffs[trunc.index_of(alpha)] = 1.0
-    return FockVector(truncation=trunc, coeffs=coeffs)
-
-
 def _check_frequency(lam: float) -> float:
     lam = float(lam)
     if lam == 0.0 or not math.isfinite(lam):
@@ -138,13 +132,6 @@ def monomial_norm_sq(alpha, lam: float) -> float:
     lam = _check_frequency(lam)
     a = MultiIndex(alpha)
     return math.exp(a.log_factorial + a.degree * math.log(2.0 / abs(lam)))
-
-
-def inner_product(f: FockVector, g: FockVector) -> complex:
-    """Hermitian pairing <f, g>, conjugate-linear in g."""
-    if f.truncation != g.truncation:
-        raise InvalidParameterError("vectors live in different truncations")
-    return complex(np.vdot(g.coeffs, f.coeffs))
 
 
 def norm_sq(f: FockVector) -> float:

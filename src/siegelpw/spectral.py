@@ -100,18 +100,63 @@ def _as_chart(point: SiegelPoint | HorocyclicCoordinates) -> HorocyclicCoordinat
     )
 
 
-def _pairing_form(z_components, t, h, z0: np.ndarray, t0: float, h0: float):
-    """Two times the Hermitian pairing of the chart point (z,t,h) against the
-    interior point (z0,t0,h0); its real part is positive on the domain."""
+def _pairing_parts(z_components, t, h, z0: np.ndarray, t0: float, h0: float):
+    """Real and imaginary parts of two times the Hermitian pairing of the
+    chart point (z,t,h) against the interior point (z0,t0,h0).  The real part
+    is positive on the domain and does not depend on t, the imaginary part
+    does not depend on h, so on a tensor grid each lives on a sub-grid."""
     zsq = sum(np.abs(zj) ** 2 for zj in z_components)
     cross = sum(zj * np.conj(z0j) for zj, z0j in zip(z_components, z0))
     z0sq = float(np.sum(np.abs(z0) ** 2))
-    return (
-        (h + h0)
-        + 0.25 * (zsq + z0sq)
-        - 0.5 * np.real(cross)
-        - 1j * ((t - t0) + 0.5 * np.imag(cross))
-    )
+    re = (h + h0) + 0.25 * (zsq + z0sq) - 0.5 * np.real(cross)
+    return re, -((t - t0) + 0.5 * np.imag(cross))
+
+
+def _pairing_form(z_components, t, h, z0: np.ndarray, t0: float, h0: float):
+    """The pairing of :func:`_pairing_parts` as one complex array."""
+    re, im = _pairing_parts(z_components, t, h, z0, t0, h0)
+    return re + 1j * im
+
+
+def _pairing_power(re, im, s: float):
+    """``q**-s`` on the principal branch for ``q = re + i*im`` with ``re > 0``.
+
+    For an integer ``s >= 1`` the base is ``1/q``; for a half-integer ``s``
+    it is ``q**-1/2 = (u - i*im/(2u))/|q|`` with ``u = sqrt((|q| + re)/2)``,
+    from real arithmetic on the broadcast parts.  Either base is raised to
+    the integer power ``s`` or ``2s`` by :func:`_integer_power`.  Any other
+    ``s`` takes NumPy's complex power, a complex logarithm and exponential.
+    """
+    s = float(s)
+    if s >= 1.0 and s.is_integer():
+        base = np.asarray(re + 1j * im)
+        np.reciprocal(base, out=base)
+        return _integer_power(base, int(s))
+    if s > 0.0 and (2.0 * s).is_integer():
+        modulus = np.sqrt(re * re + im * im)
+        u = np.sqrt(0.5 * (modulus + re))
+        base = np.empty(np.shape(modulus), dtype=np.complex128)
+        np.divide(u, modulus, out=base.real)
+        np.divide(-0.5 * im, u * modulus, out=base.imag)
+        return _integer_power(base, int(2.0 * s))
+    return np.power(re + 1j * im, -s)
+
+
+def _integer_power(base: np.ndarray, k: int) -> np.ndarray:
+    """``base**k`` for an integer ``k >= 1``, overwriting ``base``: repeated
+    squaring with whole-array products, which on a chart block is about twice
+    as fast as NumPy's integer power (an element-by-element loop)."""
+    result = None
+    while k:
+        if k & 1:
+            if result is None:
+                result = base if k == 1 else base.copy()
+            else:
+                np.multiply(result, base, out=result)
+        k >>= 1
+        if k:
+            np.multiply(base, base, out=base)
+    return result
 
 
 def _monomial(z_components, alpha) -> np.ndarray | complex:
@@ -961,11 +1006,11 @@ def _closed_profile_values(profile: SpectralProfile, z_components, t, h):
     n = base.n
     if isinstance(base, KernelProfile):
         ch = base.chart
-        pairing = _pairing_form(z_components, t, h, ch.z, ch.t, ch.h)
+        re, im = _pairing_parts(z_components, t, h, ch.z, ch.t, ch.h)
         s = n + 2.0 + base.nu + order
         sign = -1.0 if order % 2 else 1.0
         amp = sign * base.normalization * _plancherel(n) * math.gamma(s)
-        return amp * np.power(pairing, -s)
+        return amp * _pairing_power(re, im, s)
     if isinstance(base, FiniteProfile):
         zsq = sum(np.abs(zj) ** 2 for zj in z_components)
         sign = -1.0 if order % 2 else 1.0
@@ -979,28 +1024,25 @@ def _closed_profile_values(profile: SpectralProfile, z_components, t, h):
                 * _plancherel(n)
                 * math.gamma(s)
             )
-            denom = (h + term.decay + 0.25 * zsq) - 1j * t
-            total = total + amp * _monomial(z_components, term.alpha) * np.power(denom, -s)
+            power = _pairing_power(h + term.decay + 0.25 * zsq, -t, s)
+            total = total + amp * _monomial(z_components, term.alpha) * power
         return total if base.terms else np.zeros(np.broadcast(*z_components, t, h).shape, complex)
     if isinstance(base, DirichletKernelProfile):
         ch = base.chart
-        at_base = _pairing_form(z_components, t, h, ch.z, ch.t, ch.h)
         center = np.zeros(base.n, dtype=np.complex128)
-        at_center = _pairing_form(z_components, t, h, center, 0.0, 1.0)
         amp = base.normalization * _plancherel(n)
         if order == 0:
+            at_base = _pairing_form(z_components, t, h, ch.z, ch.t, ch.h)
+            at_center = _pairing_form(z_components, t, h, center, 0.0, 1.0)
             center_zero = [np.asarray(0.0 + 0.0j) for _ in range(n)]
             fixed = complex(_pairing_form(center_zero, 0.0, 1.0, ch.z, ch.t, ch.h))
             return amp * (
                 np.log(at_center) - np.log(at_base) + np.log(fixed) - math.log(2.0)
             )
         sign = -1.0 if order % 2 else 1.0
-        return (
-            amp
-            * sign
-            * math.gamma(order)
-            * (np.power(at_base, -float(order)) - np.power(at_center, -float(order)))
-        )
+        at_base = _pairing_power(*_pairing_parts(z_components, t, h, ch.z, ch.t, ch.h), order)
+        at_center = _pairing_power(*_pairing_parts(z_components, t, h, center, 0.0, 1.0), order)
+        return amp * sign * math.gamma(order) * (at_base - at_center)
     raise InvalidParameterError(f"no closed form for profile type {type(base).__name__}")
 
 
@@ -1033,8 +1075,10 @@ class ProfileFunction:
 
     def chart_values(self, z_components, t, h) -> np.ndarray:
         if self.evaluation == "quadrature":
-            return self._quadrature_values(z_components, t, h) + self.constant
-        return _closed_profile_values(self.profile, z_components, t, h) + self.constant
+            values = self._quadrature_values(z_components, t, h)
+        else:
+            values = _closed_profile_values(self.profile, z_components, t, h)
+        return values + self.constant if self.constant else values
 
     def _quadrature_values(self, z_components, t, h) -> np.ndarray:
         profile = self.profile

@@ -10,11 +10,14 @@ takes seconds.
 import csv
 import io
 import json
+import math
 import time
 
+import numpy as np
 import pytest
 
 import siegelpw.cli as cli
+import siegelpw.fock as fk
 import siegelpw.kernels as kr
 import siegelpw.spectral as sp
 from siegelpw.siegel import chart_from_json, point_to_json, psi_inv
@@ -175,18 +178,63 @@ class TestFockAndBargmannSuites:
         assert data.rel_error <= 1e-2 * data.tolerance
 
 
+class TestFockGram:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_derived_rule_is_the_smallest_exact_one(self, n):
+        trunc = fk.FockTruncation(n, 4)
+        nodes = trunc.max_degree + 1
+        identity = np.eye(trunc.dim)
+        assert np.max(np.abs(cli._fock_gram(trunc, -2.0, nodes) - identity)) <= 1e-13
+        assert np.max(np.abs(cli._fock_gram(trunc, -2.0, nodes - 1) - identity)) > 1e-13
+
+    def test_rules_name_the_node_count(self):
+        cfg = cli.SuiteConfig(n=2, seed=1)
+        data = cli._check_fock_pairing(cfg, cli._check_rng(cfg, "fock-pairing-orthogonality"))
+        assert "5 nodes" in data.rules
+        assert data.rel_error <= 1e-13
+
+
 class TestProjectionTail:
     def test_rounding_deficit_under_a_tiny_bound_passes(self):
-        # Seed 8 draws an element whose vacuum-row deficit is one rounding
-        # unit (1.1e-16) while the analytic tail bound is 5.4e-22.
+        # Seed 8 draws, last, an element whose vacuum-row deficit is one
+        # rounding unit (1.1e-16) while the analytic tail bound is 5.4e-22.
+        # The rounding floor keeps its ratio at 2.2e-3 instead of 2e5, so the
+        # row reports the second element, whose ratio 0.34 sets the error.
         cfg = cli.SuiteConfig(seed=8)
         data = cli._check_bargmann_projection_tail(
             cfg, cli._check_rng(cfg, "bargmann-projection-tail")
         )
-        assert data.lhs == pytest.approx(1.1102230246251565e-16, rel=1e-6)
-        assert data.rhs == pytest.approx(5.399455382921829e-22, rel=1e-6)
+        assert data.lhs == pytest.approx(4.325970692775627e-10, rel=1e-6)
+        assert data.rhs == pytest.approx(1.2818855656432194e-09, rel=1e-6)
+        assert data.rel_error == data.lhs / (data.rhs + 5e-14)
         assert data.metric == "bound-ratio"
         assert data.rel_error <= data.tolerance == 1.0
+
+
+class TestEvidenceRows:
+    """A check that loops over cases reports the case that sets its error, so
+    the row's lhs and rhs reproduce its rel_error."""
+
+    @pytest.mark.parametrize(
+        "check_id,error",
+        [
+            ("group-norm-homogeneity", cli._rel),
+            ("group-distance-dilation", cli._rel),
+            ("pw-m-independence-spectral", cli._rel),
+            ("kernels-power-integral-nested", lambda lhs, rhs: abs(lhs - rhs) / rhs),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_values_reproduce_the_error(self, check_id, error, seed):
+        cfg = cli.SuiteConfig(seed=seed)
+        spec = next(spec for spec in cli._specs_for("all") if spec.check_id == check_id)
+        data = spec.run(cfg, cli._check_rng(cfg, check_id))
+        assert data.rel_error == error(data.lhs, data.rhs)
+
+    def test_worst_case_is_the_first_arg_max(self):
+        cases = [(0.1, 1.0, 2.0), (0.3, 3.0, 4.0), (0.3, 5.0, 6.0), (math.nan, 7.0, 8.0)]
+        assert cli._worst_case(cases) == (0.3, 3.0, 4.0)
+        assert cli._worst_case([(0.0, 1.0, 2.0), (0.0, 3.0, 4.0)]) == (0.0, 1.0, 2.0)
 
 
 OMEGA = {"z": [[0.3, 0.1]], "t": -0.2, "h": 0.8}

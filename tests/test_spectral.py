@@ -872,6 +872,38 @@ class TestStreamedGram:
         assert peak < 64e6 < 16 * points
 
 
+class TestPairingPower:
+    """Pairing powers in real arithmetic against NumPy's complex power."""
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 0.5, 1.5, 2.5, 3.5, 0.7, 2.3])
+    def test_matches_numpy_power(self, s):
+        rng = np.random.default_rng(11)
+        re = np.geomspace(1e-3, 10.0, 37).reshape(-1, 1)
+        im = np.concatenate(
+            [[0.0], rng.uniform(-1e3, 1e3, 40), np.geomspace(1e-3, 1e3, 7), -np.geomspace(1e-3, 1e3, 7)]
+        ).reshape(1, -1)
+        got = sp._pairing_power(re, im, s)
+        expected = np.power(re + 1j * im, -s)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected) / np.abs(expected)) <= 1e-13
+        assert complex(sp._pairing_power(0.6, -0.8, s)) == pytest.approx((0.6 - 0.8j) ** -s, rel=1e-13)
+
+    def test_gram_matches_numpy_power_reference(self, monkeypatch):
+        # Height derivatives of order 1 raise the pairing to the powers 2.5
+        # (nu = -1.5) and 4 (nu = 0); the finite terms to 3 and 4.5.
+        terms = (sp.FiniteTerm((0,), 1.0, 0.0, 1.0), sp.FiniteTerm((2,), -0.2 + 0.5j, 0.5, 0.7))
+        functions = [
+            sp.ProfileFunction(sp.KernelProfile(1, -1.5, GENERIC_BASE_1, 1)),
+            sp.ProfileFunction(sp.KernelProfile(1, 0.0, point([-0.2 + 0.4j], 0.5, 1.3))),
+            sp.ProfileFunction(sp.FiniteProfile(1, terms)),
+        ]
+        tag = sp.WeightedDirichlet(-1.5, 1)
+        got = sp.space_gram(functions, tag, TINY_RULES)
+        monkeypatch.setattr(sp, "_pairing_power", lambda re, im, s: np.power(re + 1j * im, -s))
+        expected = sp.space_gram(functions, tag, TINY_RULES)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
 class TestScalingAndGrowth:
     @settings(max_examples=20, deadline=None)
     @given(delta=st.floats(0.5, 2.0), nu=st.sampled_from([0.0, -1.0, -1.5]))
