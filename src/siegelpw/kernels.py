@@ -356,11 +356,7 @@ class FunctionCombination:
         return self.terms[0][1].n
 
     def chart_values(self, z_components, t, h):
-        total = None
-        for coeff, func in self.terms:
-            piece = coeff * np.asarray(func.chart_values(z_components, t, h), dtype=np.complex128)
-            total = piece if total is None else total + piece
-        return total
+        return sp._combination_values(self.terms, z_components, t, h)
 
     def height_derivative(self, order: int) -> "FunctionCombination":
         if order == 0:

@@ -28,6 +28,7 @@ space as ``f ↦ ⟨f, v(λ)⟩ e_0``, so the field is stored through its vector
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
@@ -1039,11 +1040,52 @@ def _closed_profile_values(profile: SpectralProfile, z_components, t, h):
             return amp * (
                 np.log(at_center) - np.log(at_base) + np.log(fixed) - math.log(2.0)
             )
-        sign = -1.0 if order % 2 else 1.0
+        amp, _, _ = _log_derivative_split(profile)
         at_base = _pairing_power(*_pairing_parts(z_components, t, h, ch.z, ch.t, ch.h), order)
-        at_center = _pairing_power(*_pairing_parts(z_components, t, h, center, 0.0, 1.0), order)
-        return amp * sign * math.gamma(order) * (at_base - at_center)
+        return amp * (at_base - _center_power(z_components, t, h, order))
     raise InvalidParameterError(f"no closed form for profile type {type(base).__name__}")
+
+
+def _log_derivative_split(profile: SpectralProfile):
+    """``(amplitude, chart, order)`` with the closed form ``amplitude * (P -
+    P_center)`` of a height derivative of order >= 1 of a logarithmic slice,
+    ``P`` the pairing power of that order at the slice's chart point and
+    ``P_center`` the one at the center; ``None`` for any other profile."""
+    base, order = _unwrap_derived(profile)
+    if not isinstance(base, DirichletKernelProfile) or order == 0:
+        return None
+    sign = -1.0 if order % 2 else 1.0
+    return base.normalization * _plancherel(base.n) * sign * math.gamma(order), base.chart, order
+
+
+def _center_power(z_components, t, h, order: int):
+    """The pairing power of the given order at the center (0, 0, 1)."""
+    center = np.zeros(len(z_components), dtype=np.complex128)
+    return _pairing_power(*_pairing_parts(z_components, t, h, center, 0.0, 1.0), order)
+
+
+def _combination_values(terms, z_components, t, h):
+    """Chart values of ``sum c * F`` over ``(c, F)`` terms.  Closed-form
+    height derivatives of logarithmic slices share one center power per
+    order: ``sum c_j a_j (P_j - P_c) = sum c_j a_j P_j - (sum c_j a_j) P_c``,
+    so K such slices take K + 1 pairing powers instead of 2K."""
+    total = None
+    shared: dict[int, complex] = {}
+    for coeff, func in terms:
+        split = None
+        if isinstance(func, ProfileFunction) and func.evaluation != "quadrature" and not func.constant:
+            split = _log_derivative_split(func.profile)
+        if split is None:
+            piece = coeff * np.asarray(func.chart_values(z_components, t, h), dtype=np.complex128)
+        else:
+            amp, ch, order = split
+            scale = coeff * amp
+            shared[order] = shared.get(order, 0.0) + scale
+            piece = scale * _pairing_power(*_pairing_parts(z_components, t, h, ch.z, ch.t, ch.h), order)
+        total = piece if total is None else total + piece
+    for order, scale in shared.items():
+        total = total - scale * _center_power(z_components, t, h, order)
+    return total
 
 
 @dataclass(frozen=True)
@@ -1325,7 +1367,7 @@ class ChartNormRules:
     space's weight exactly near 0 and an exponential-stretch far field.  Tail
     drift monitoring recomputes the integral with the far fields pushed
     outward and flags growth (divergence) or disagreement (under-resolution).
-    The grid is streamed in blocks of about a million points, so
+    The grid is streamed in blocks of at most 131,072 points, so
     ``max_points`` bounds the work of one pass, not its memory.
     """
 
@@ -1394,19 +1436,37 @@ def _volume_axes(n: int, height_beta: float | None, rules: ChartNormRules) -> li
     return axes
 
 
-#: Points per streamed block of a chart grid (whole leading-axis nodes), so a
-#: chart pass needs the same memory whatever the rule's total size.
-_BLOCK_POINTS = 1_000_000
+#: Points per streamed block of a chart grid.  At 2**17 points one complex
+#: temporary of a block takes 2 MB, so the block's ufuncs run from cache and a
+#: chart pass needs the same memory whatever the rule's total size; smaller
+#: blocks slow the suite's two worker threads, which then contend for the GIL
+#: between short ufunc calls.
+_BLOCK_POINTS = 131_072
 
 
 def _accumulate(gram: np.ndarray, weights, values: Sequence[np.ndarray]) -> None:
-    """Add ``sum(weights * f_j * conj(f_k))`` to ``gram[j, k]``; separate real
-    products make the imaginary part of ``<f, f>`` exactly zero."""
+    """Add ``sum(weights * f_j * conj(f_k))`` to ``gram[j, k]``.
+
+    Each sum is an unoptimized ``einsum`` (no BLAS, no full-block temporary)
+    over the real and imaginary views of the values, broadcast to the block.
+    A diagonal entry takes only the real contraction, and both imaginary
+    contractions multiply (imaginary, real, weight) factors, so ``<f, f>`` has
+    an imaginary part of exactly zero in any slot.
+    """
+    shape = np.broadcast_shapes(np.shape(weights), *(np.shape(v) for v in values))
+    weights = np.broadcast_to(weights, shape)
+    values = [np.broadcast_to(np.asarray(v, np.complex128), shape) for v in values]
+    axes = "abcdefghijklmnopqrstuvwxyz"[: len(shape)]
+    subscripts = f"{axes},{axes},{axes}->"
+
+    def dot(x, y):
+        return float(np.einsum(subscripts, x, y, weights))
+
     for j, a in enumerate(values):
         for k in range(j, len(values)):
             b = values[k]
-            re = np.sum(weights * (a.real * b.real + a.imag * b.imag))
-            im = 0.0 if k == j else np.sum(weights * (a.imag * b.real - a.real * b.imag))
+            re = dot(a.real, b.real) + dot(a.imag, b.imag)
+            im = 0.0 if k == j else dot(a.imag, b.real) - dot(b.imag, a.real)
             gram[j, k] += complex(re, im)
             if k != j:
                 gram[k, j] += complex(re, -im)
@@ -1416,8 +1476,14 @@ def _chart_gram(
     functions, n: int, height_beta: float | None, rules: ChartNormRules, fixed_height: float | None = None
 ) -> np.ndarray:
     """Weighted Gram matrix ``M[j, k] = sum w f_j conj(f_k)`` over the chart
-    grid, in one pass over blocks of the leading axis: each block evaluates
-    every function once and is contracted against its tensor weights."""
+    grid, in one pass over blocks of at most ``_BLOCK_POINTS`` points: each
+    block evaluates every function once and is contracted against its tensor
+    weights.
+
+    A block takes the longest suffix of axes that fits in it whole, a chunk
+    of the axis before that suffix, and one node of every earlier axis; a
+    grid that fits in one block is one block.
+    """
     axes = _volume_axes(n, height_beta, rules)
     box = _quad.BoxRule(tuple(axes))
     if box.point_count > rules.max_points:
@@ -1426,16 +1492,27 @@ def _chart_gram(
             "reduce the per-axis orders (see ChartNormRules.smoke())"
         )
     grids = box.grids()
-    rest_weights = reduce(np.multiply.outer, [axis.weights for axis in axes[1:]])
-    step = max(1, _BLOCK_POINTS // rest_weights.size)
+    sizes = [axis.node_count for axis in axes]
+    chunked = len(axes) - 1
+    while chunked > 0 and math.prod(sizes[chunked:]) <= _BLOCK_POINTS:
+        chunked -= 1
+    tail_weights = reduce(np.multiply.outer, [axis.weights for axis in axes[chunked + 1 :]], np.ones(()))
+    step = max(1, _BLOCK_POINTS // tail_weights.size)
+    column = (-1,) + (1,) * tail_weights.ndim
     gram = np.zeros((len(functions), len(functions)), dtype=np.complex128)
-    for start in range(0, axes[0].node_count, step):
-        block = [grids[0][start : start + step]] + grids[1:]
-        z_components = [block[j] * np.exp(1j * block[n + j]) for j in range(n)]
-        h_grid = block[2 * n + 1] if height_beta is not None else fixed_height
-        weights = axes[0].weights[start : start + step].reshape(block[0].shape) * rest_weights
-        values = [np.asarray(F.chart_values(z_components, block[2 * n], h_grid)) for F in functions]
-        _accumulate(gram, weights, values)
+    for lead in itertools.product(*(range(size) for size in sizes[:chunked])):
+        lead_weight = math.prod(float(axis.weights[i]) for axis, i in zip(axes, lead))
+        for start in range(0, sizes[chunked], step):
+            index = [slice(i, i + 1) for i in lead] + [slice(start, start + step)]
+            block = [
+                grid[(slice(None),) * i + (index[i],)] if i <= chunked else grid
+                for i, grid in enumerate(grids)
+            ]
+            z_components = [block[j] * np.exp(1j * block[n + j]) for j in range(n)]
+            h_grid = block[2 * n + 1] if height_beta is not None else fixed_height
+            weights = lead_weight * axes[chunked].weights[start : start + step].reshape(column) * tail_weights
+            values = [np.asarray(F.chart_values(z_components, block[2 * n], h_grid)) for F in functions]
+            _accumulate(gram, weights, values)
     return gram
 
 

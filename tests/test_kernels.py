@@ -507,6 +507,33 @@ class TestFunctionCombination:
         manual = 1.5 * f.height_derivative(1).chart_values(z, t, h) - 2.0j * g.height_derivative(1).chart_values(z, t, h)
         np.testing.assert_allclose(combo.chart_values(z, t, h), manual, rtol=1e-14)
 
+    def test_logarithmic_slices_share_one_center_power_per_block(self, monkeypatch):
+        # K dotted logarithmic slices of one height-derivative order make
+        # K + 1 pairing powers per chart block, not 2K.
+        rng = np.random.default_rng(17)
+        kid = kr.DirichletLog(2, dotted=True)
+        slices = [kr.kernel_slice(kid, rand_interior(rng, 1)) for _ in range(3)]
+        coeffs = [1.0, -0.5 + 0.3j, 0.25j]
+        combo = kr.FunctionCombination(tuple(zip(coeffs, slices))).height_derivative(2)
+        z = [np.linspace(-1.5, 1.5, 7).reshape(-1, 1, 1) * np.exp(0.3j)]
+        t, h = np.linspace(-2.0, 2.0, 5).reshape(1, -1, 1), np.geomspace(0.05, 5.0, 6)
+        manual = sum(c * f.height_derivative(2).chart_values(z, t, h) for c, f in zip(coeffs, slices))
+        np.testing.assert_allclose(combo.chart_values(z, t, h), manual, rtol=1e-12)
+
+        powers, blocks = [], []
+        power, accumulate = sp._pairing_power, sp._accumulate
+        monkeypatch.setattr(sp, "_pairing_power", lambda *a: powers.append(a[2]) or power(*a))
+        monkeypatch.setattr(sp, "_accumulate", lambda *a: blocks.append(1) or accumulate(*a))
+        monkeypatch.setattr(sp, "_BLOCK_POINTS", 500)
+        rules = sp.ChartNormRules(
+            radial_panels=1, radial_order=5, angle_count=6, t_panels=1, t_order=6,
+            h_panels=1, h_order=6, h_tail_panels=1, h_tail_order=5, check_tails=False,
+        )
+        sp._chart_gram([combo], 1, sp._tag_data(kid, 1)[0], rules)
+        assert len(blocks) > 1
+        assert len(powers) == 4 * len(blocks)
+        assert set(powers) == {2}
+
     def test_validation(self):
         f = kr.kernel_slice(kr.Bergman(0.0), base_point(1))
         g2 = kr.kernel_slice(kr.Bergman(0.0), base_point(2))

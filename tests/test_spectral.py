@@ -10,6 +10,7 @@ import cmath
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -784,21 +785,22 @@ class HeightOnly:
     """Chart function of the height alone: its values broadcast along the
     other axes instead of filling the grid."""
 
-    n = 1
+    def __init__(self, n: int = 1):
+        self.n = n
 
     def chart_values(self, z_components, t, h):
         return np.asarray(np.exp(-np.asarray(h)) + 0.5j)
 
 
-def full_grid_gram(functions, height_beta, rules, fixed_height=None):
+def full_grid_gram(functions, n, height_beta, rules, fixed_height=None):
     """One-shot reference: evaluate every function on the whole tensor grid
     and contract each product f_j conj(f_k) one axis at a time."""
-    axes = sp._volume_axes(1, height_beta, rules)
+    axes = sp._volume_axes(n, height_beta, rules)
     grids = quad.BoxRule(tuple(axes)).grids()
-    z = [grids[0] * np.exp(1j * grids[1])]
-    h = grids[3] if height_beta is not None else fixed_height
+    z = [grids[j] * np.exp(1j * grids[n + j]) for j in range(n)]
+    h = grids[2 * n + 1] if height_beta is not None else fixed_height
     shape = tuple(axis.node_count for axis in axes)
-    values = [np.broadcast_to(F.chart_values(z, grids[2], h), shape) for F in functions]
+    values = [np.broadcast_to(F.chart_values(z, grids[2 * n], h), shape) for F in functions]
     out = np.empty((len(functions), len(functions)), dtype=complex)
     for j, a in enumerate(values):
         for k, b in enumerate(values):
@@ -809,26 +811,62 @@ def full_grid_gram(functions, height_beta, rules, fixed_height=None):
     return out
 
 
-class TestStreamedGram:
-    FUNCTIONS = (
-        sp.ProfileFunction(sp.KernelProfile(1, 0.0, GENERIC_BASE_1)),
-        sp.ProfileFunction(sp.KernelProfile(1, 0.0, point([-0.2 + 0.4j], 0.5, 1.3))),
-        sp.ProfileFunction(sp.FiniteProfile(1, ()), 0.75 - 0.4j),
-        HeightOnly(),
+#: A coarser layout for the 6-D grids of n = 2 (6,750 points with a height
+#: axis); no axis has a multiple of 4 nodes, so chunks of 4 leave a remainder.
+TINY_RULES_2 = sp.ChartNormRules(
+    radial_panels=1,
+    radial_order=3,
+    angle_count=5,
+    t_panels=1,
+    t_order=5,
+    h_panels=1,
+    h_order=3,
+    h_tail_panels=1,
+    h_tail_order=3,
+    check_tails=False,
+)
+
+
+def streamed_functions(n):
+    base = GENERIC_BASE_1 if n == 1 else GENERIC_BASE_2
+    other = point([-0.2 + 0.4j] + [0.1j] * (n - 1), 0.5, 1.3)
+    return (
+        sp.ProfileFunction(sp.KernelProfile(n, 0.0, base)),
+        sp.ProfileFunction(sp.KernelProfile(n, 0.0, other)),
+        sp.ProfileFunction(sp.FiniteProfile(n, ()), 0.75 - 0.4j),
+        HeightOnly(n),
     )
 
-    @pytest.mark.parametrize("leading_nodes_per_block", [1, 2, 5])
+
+class TestStreamedGram:
+    # The bare ids count the radial nodes of one block on TINY_RULES: pairs
+    # leave a remainder of one, and 5 is the whole grid.  The other cases cut
+    # the first angle axis into chunks of 4 with a remainder, or the last axis,
+    # in blocks smaller than one node of every other axis.
+    @pytest.mark.parametrize(
+        "n, rules, chunked, step",
+        [
+            pytest.param(1, TINY_RULES, 0, 1, id="1"),
+            pytest.param(1, TINY_RULES, 0, 2, id="2"),
+            pytest.param(1, TINY_RULES, 0, 5, id="5"),
+            pytest.param(1, TINY_RULES, "angle", 4, id="n1-angle-4"),
+            pytest.param(1, TINY_RULES, "last", 4, id="n1-last-4"),
+            pytest.param(2, TINY_RULES_2, 0, 3, id="n2-whole"),
+            pytest.param(2, TINY_RULES_2, 1, 2, id="n2-radial-2"),
+            pytest.param(2, TINY_RULES_2, "angle", 4, id="n2-angle-4"),
+            pytest.param(2, TINY_RULES_2, "last", 4, id="n2-last-4"),
+        ],
+    )
     @pytest.mark.parametrize("height_beta, fixed_height", [(0.0, None), (1.5, None), (None, 0.4)])
     def test_matches_full_grid_contraction(
-        self, monkeypatch, leading_nodes_per_block, height_beta, fixed_height
+        self, monkeypatch, n, rules, chunked, step, height_beta, fixed_height
     ):
-        # TINY_RULES has 5 radial (leading) nodes, so blocks of 2 leave a
-        # remainder block of 1.
-        axes = sp._volume_axes(1, height_beta, TINY_RULES)
-        per_node = math.prod(axis.node_count for axis in axes[1:])
-        monkeypatch.setattr(sp, "_BLOCK_POINTS", leading_nodes_per_block * per_node)
-        got = sp._chart_gram(self.FUNCTIONS, 1, height_beta, TINY_RULES, fixed_height)
-        expected = full_grid_gram(self.FUNCTIONS, height_beta, TINY_RULES, fixed_height)
+        sizes = [axis.node_count for axis in sp._volume_axes(n, height_beta, rules)]
+        axis = {"angle": n, "last": len(sizes) - 1}.get(chunked, chunked)
+        monkeypatch.setattr(sp, "_BLOCK_POINTS", step * math.prod(sizes[axis + 1 :]))
+        functions = streamed_functions(n)
+        got = sp._chart_gram(functions, n, height_beta, rules, fixed_height)
+        expected = full_grid_gram(functions, n, height_beta, rules, fixed_height)
         scale = np.sqrt(np.outer(np.diag(expected).real, np.diag(expected).real))
         assert np.all(np.abs(got - expected) <= 1e-12 * scale)
         assert np.all(np.diag(got).imag == 0.0)
@@ -839,37 +877,87 @@ class TestStreamedGram:
 
         class Counted(HeightOnly):
             def chart_values(self, z_components, t, h):
-                calls.append(np.shape(z_components[0])[0])
+                calls.append(np.broadcast(*z_components, t, h).size)
                 return super().chart_values(z_components, t, h)
 
-        axes = sp._volume_axes(1, 0.0, TINY_RULES)
-        monkeypatch.setattr(sp, "_BLOCK_POINTS", 2 * math.prod(a.node_count for a in axes[1:]))
+        # Chunks of 4 of the 6 angles: blocks of 4 and 2 angles times the
+        # whole t x h tail, for each of the 5 radial nodes.
+        sizes = [axis.node_count for axis in sp._volume_axes(1, 0.0, TINY_RULES)]
+        tail = sizes[2] * sizes[3]
+        monkeypatch.setattr(sp, "_BLOCK_POINTS", 4 * tail)
         sp._chart_gram([Counted(), Counted()], 1, 0.0, TINY_RULES)
-        assert calls == [2, 2, 2, 2, 1, 1]
+        assert calls == [4 * tail, 4 * tail, 2 * tail, 2 * tail] * sizes[0]
+        assert max(calls) <= sp._BLOCK_POINTS
+        assert sum(calls[::2]) == math.prod(sizes)
 
     def test_norm_is_the_gram_diagonal(self):
-        F, G = self.FUNCTIONS[:2]
+        F, G = streamed_functions(1)[:2]
         gram = sp.space_gram([F, G], sp.Bergman(0.0), TINY_RULES)
         assert gram[0, 0] == sp.space_norm_sq(F, sp.Bergman(0.0), TINY_RULES)
         assert gram[1, 1] == sp.space_norm_sq(G, sp.Bergman(0.0), TINY_RULES)
 
+    @staticmethod
+    def traced_peak(functions, n, rules):
+        tracemalloc.start()
+        try:
+            sp._chart_gram(functions, n, 0.0, rules)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_block_memory_does_not_grow_with_the_rule(self):
-        # Peak traced allocation of a 14 M-point pass stays near that of
-        # one 1 M-point block, far below one complex value per grid point.
+        # The peak traced allocation of a 14 M-point pass of two kernel
+        # slices stays within a few blocks' temporaries (10.1 MB measured),
+        # far below one complex value per grid point.
         rules = sp.ChartNormRules(
             radial_panels=4, radial_order=16, t_panels=7, t_order=16,
             h_tail_panels=5, h_tail_order=16, check_tails=False,
         )
-        F = HeightOnly()
-        tracemalloc.start()
-        try:
-            sp._chart_gram([F], 1, 0.0, rules)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         points = math.prod(axis.node_count for axis in sp._volume_axes(1, 0.0, rules))
         assert points > 10_000_000
-        assert peak < 64e6 < 16 * points
+        assert self.traced_peak(streamed_functions(1)[:2], 1, rules) < 16e6 < 16 * points
+
+    def test_block_memory_of_a_six_dimensional_pass(self):
+        # One kernel slice on the 12.6 M-point smoke layout at n = 2 (4.7 MB
+        # measured).
+        rules = replace(sp.ChartNormRules.smoke(), check_tails=False)
+        points = math.prod(axis.node_count for axis in sp._volume_axes(2, 0.0, rules))
+        assert points > 10_000_000
+        assert self.traced_peak(streamed_functions(2)[:1], 2, rules) < 8e6 < 16 * points
+
+
+class TestAccumulate:
+    """The block contraction against ``sum(w * a * conj(b))``."""
+
+    def test_mixed_value_shapes(self):
+        rng = np.random.default_rng(31)
+        shape = (1, 3, 5, 7)
+        full = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        values = [
+            full,
+            rng.normal(size=(1, 1, 1, 7)) + 1j * rng.normal(size=(1, 1, 1, 7)),  # height-only
+            np.asarray(0.4 - 1.3j),  # a center product
+            full,  # a repeated function in an off-diagonal slot
+        ]
+        weights = rng.uniform(0.1, 2.0, size=shape[1:])
+        gram = np.zeros((4, 4), dtype=complex)
+        sp._accumulate(gram, weights, values)
+        for j, a in enumerate(values):
+            for k, b in enumerate(values):
+                assert gram[j, k] == pytest.approx(np.sum(weights * a * np.conj(b)), rel=1e-13)
+        assert np.all(np.diag(gram).imag == 0.0)
+        assert gram[0, 3].imag == 0.0 and gram[3, 0].imag == 0.0
+        assert np.array_equal(gram, gram.conj().T)
+
+    def test_center_products_with_a_unit_weight(self):
+        # space_gram adds the values at the center this way.
+        values = [np.asarray(0.4 - 1.3j), np.asarray(-2.0 + 0.5j)]
+        gram = np.full((2, 2), 1.0 + 0.0j)
+        sp._accumulate(gram, 1.0, values)
+        expected = 1.0 + np.outer(values, np.conj(values))
+        np.testing.assert_allclose(gram, expected, rtol=1e-15)
+        assert np.all(np.diag(gram).imag == 0.0)
+        assert np.array_equal(gram, gram.conj().T)
 
 
 class TestPairingPower:
