@@ -5,7 +5,7 @@ quadrature.
 Modules
 -------
 quadrature      Gauss rules (half-line, Gaussian, mapped boxes) and Monte Carlo.
-heisenberg      The boundary group: product, norm, balls, dilations.
+heisenberg      The boundary group: product, norm, distance, dilations.
 siegel          Domain geometry: points, charts, automorphisms, the ball.
 fock            Truncated holomorphic L^2 spaces of entire functions.
 bargmann        The unitary boundary-group action on those spaces.

@@ -43,7 +43,6 @@ from .siegel import (
     BallPoint,
     Dilation,
     HeisenbergTranslation,
-    HorocyclicCoordinates,
     Inversion,
     SiegelPoint,
     Unitary,
@@ -138,9 +137,7 @@ def _rules_label(rules: sp.ChartNormRules) -> str:
 
 def _rand_interior(rng, n: int, spread: float = 0.7, h_lo: float = 0.3, h_hi: float = 2.0) -> SiegelPoint:
     z = rng.normal(0.0, spread, n) + 1j * rng.normal(0.0, spread, n)
-    return psi_inv(
-        HorocyclicCoordinates(z=z, t=float(rng.normal(0.0, spread)), h=float(rng.uniform(h_lo, h_hi)))
-    )
+    return SiegelPoint(z, float(rng.normal(0.0, spread)), float(rng.uniform(h_lo, h_hi)))
 
 
 def _rand_ball(rng, n: int, radius: float = 0.6) -> BallPoint:
@@ -665,11 +662,7 @@ def _check_kernels_reproducing_quadrature(cfg: SuiteConfig, rng) -> CheckData:
 def _check_kernels_mobius(cfg: SuiteConfig, rng) -> CheckData:
     generators = [
         Dilation(1.4),
-        HeisenbergTranslation(
-            HorocyclicCoordinates(
-                z=np.full(cfg.n, 0.3 - 0.2j), t=0.4, h=0.0
-            )
-        ),
+        HeisenbergTranslation(hb.HeisenbergElement(np.full(cfg.n, 0.3 - 0.2j), 0.4)),
         Unitary(np.diag(np.exp(1j * np.linspace(0.7, 1.3, cfg.n)))),
         Inversion(),
     ]
@@ -799,9 +792,7 @@ def _check_dirichlet_difference_report(cfg: SuiteConfig, rng) -> CheckData:
     if cfg.n == 1:
         zeta = _rand_interior(rng, cfg.n, spread=0.5)
     else:
-        zeta = psi_inv(
-            HorocyclicCoordinates(z=np.zeros(cfg.n, dtype=complex), t=0.4, h=0.8)
-        )
+        zeta = SiegelPoint(np.zeros(cfg.n, dtype=complex), 0.4, 0.8)
     report = kr.difference_integral_ratio(zeta, m)
     finite = math.isfinite(report.lhs) and report.lhs >= 0.0
     return CheckData(

@@ -25,7 +25,6 @@ __all__ = [
     "inv",
     "homogeneous_norm",
     "distance",
-    "in_ball",
     "dilate",
 ]
 
@@ -85,13 +84,6 @@ def homogeneous_norm(a: HeisenbergElement) -> float:
 def distance(a: HeisenbergElement, b: HeisenbergElement) -> float:
     """Right-invariant gauge distance ``|a · b^{-1}|``."""
     return homogeneous_norm(mul(a, inv(b)))
-
-
-def in_ball(center: HeisenbergElement, radius: float, a: HeisenbergElement) -> bool:
-    """Whether ``a`` lies in the open gauge ball around ``center``."""
-    if radius <= 0:
-        raise InvalidParameterError(f"radius must be positive, got {radius}")
-    return distance(a, center) < radius
 
 
 def dilate(delta: float, a: HeisenbergElement) -> HeisenbergElement:

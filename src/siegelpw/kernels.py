@@ -46,7 +46,7 @@ from .siegel import (
     base_point,
     cayley,
     classify,
-    psi,
+    pairing_parts,
     rho,
 )
 from .quadrature import (
@@ -142,9 +142,9 @@ def q_pairing(first: SiegelPoint, second: SiegelPoint) -> complex:
     """Hermitian pairing whose diagonal is the defining height.
 
     Holomorphic in ``first``, conjugate-holomorphic in ``second``;
-    ``q_pairing(p, p) == rho(p)`` and swapping the arguments conjugates the
-    value.  Its real part is positive whenever the total height of the pair
-    is positive.
+    ``q_pairing(p, p) == rho(p)`` up to rounding, and swapping the arguments
+    conjugates the value exactly.  Its real part is positive whenever the
+    total height of the pair is positive.
     """
     if not isinstance(first, SiegelPoint) or not isinstance(second, SiegelPoint):
         raise InvalidParameterError("the pairing expects two half-space points")
@@ -152,23 +152,7 @@ def q_pairing(first: SiegelPoint, second: SiegelPoint) -> complex:
         raise InvalidParameterError(
             f"points live in different dimensions ({first.n} and {second.n})"
         )
-    cross = complex(np.sum(first.zeta_prime * np.conj(second.zeta_prime)))
-    return (first.zeta_last - second.zeta_last.conjugate()) / 2j - 0.25 * cross
-
-
-def _chart_pairing(z_parts, s, k, z0: np.ndarray, t0: float, h0: float):
-    """Twice the pairing between the running chart point ``(z, s, k)`` and the
-    fixed chart point ``(z0, t0, h0)``, vectorized over arrays (running point
-    in the holomorphic slot)."""
-    abs_sq = 0.0
-    cross = 0.0
-    for z, w0 in zip(z_parts, z0):
-        abs_sq = abs_sq + np.abs(z) ** 2
-        cross = cross + z * np.conj(w0)
-    base_abs_sq = float(np.sum(np.abs(z0) ** 2))
-    real = k + h0 + 0.25 * (abs_sq + base_abs_sq) - 0.5 * np.real(cross)
-    imag = -((s - t0) + 0.5 * np.imag(cross))
-    return real + 1j * imag
+    return 0.5 * complex(*pairing_parts(first.z, first.t, first.h, second))
 
 
 # ---------------------------------------------------------------------------
@@ -649,16 +633,14 @@ def q_power_integral_mc(
         raise InvalidParameterError("zeta must be a half-space point of the given dimension")
     if classify(zeta) != "interior":
         raise KernelDomainError("the integral is anchored at an interior point")
-    chart = psi(zeta)
-    z0 = np.asarray(chart.z, dtype=np.complex128)
-    t0, h0 = chart.t, chart.h
+    z0, h0 = zeta.z, zeta.h
     g = a + b + n + 2.0
     b_proposal = 0.5 * b
     g_proposal = a + b_proposal + n + 2.0
     normalizer = q_power_integral_constant(a, b_proposal, n).value * h0 ** (-b_proposal)
 
     def proposal_density(z_parts, s, k):
-        two_q = _chart_pairing(z_parts, s, k, z0, t0, h0)
+        two_q = sp._pairing_form(z_parts, s, k, zeta)
         return (k**a) * (0.5 * np.abs(two_q)) ** (-g_proposal) / normalizer
 
     def sampler(rng: np.random.Generator, count: int):
@@ -673,12 +655,13 @@ def q_power_integral_mc(
             z0[j] + radius * (direction[j] + 1j * direction[n + j]) for j in range(n)
         ]
         # Transverse: (A^2 + s'^2)^(-g'/2) is a Student t with g'-1 degrees
-        # of freedom, scaled by A and centered where the pairing is real.
+        # of freedom, scaled by A and centered where the pairing is real,
+        # which is at s = Im 2q((z, 0, k), zeta).
         scale = (h0 + k) * (1.0 + v)
         dof = g_proposal - 1.0
         offset = scale * rng.standard_t(dof, count) / math.sqrt(dof)
-        cross = sum(zp * np.conj(z0[j]) for j, zp in enumerate(z_parts))
-        s = t0 - 0.5 * np.imag(cross) + offset
+        _, real_at = pairing_parts(z_parts, 0.0, k, zeta)
+        s = real_at + offset
         xs = [zp.real for zp in z_parts]
         ys = [zp.imag for zp in z_parts]
         return [*xs, *ys, s, k], proposal_density(z_parts, s, k)
@@ -689,7 +672,7 @@ def q_power_integral_mc(
         s = coords[2 * n]
         k = coords[2 * n + 1]
         z_parts = [x + 1j * y for x, y in zip(xs, ys)]
-        two_q = _chart_pairing(z_parts, s, k, z0, t0, h0)
+        two_q = sp._pairing_form(z_parts, s, k, zeta)
         return (k**a) * (0.5 * np.abs(two_q)) ** (-g)
 
     estimate, stderr = monte_carlo(sampler, integrand, sample_count, seed)
@@ -736,9 +719,8 @@ def difference_integral_ratio(
         raise KernelDomainError("the difference integral needs an interior anchor")
     n = zeta.n
     sp.spectral_weight(DirichletLog(m), n)  # the weight needs 2m > n+1
-    chart = psi(zeta)
-    z0 = np.asarray(chart.z, dtype=np.complex128)
-    t0, h0 = chart.t, chart.h
+    z0, t0, h0 = zeta.z, zeta.t, zeta.h
+    center = base_point(n)
     axis_centered = float(np.sum(np.abs(z0) ** 2)) == 0.0
     if n > 1 and not axis_centered:
         raise InvalidParameterError(
@@ -757,10 +739,8 @@ def difference_integral_ratio(
     )
 
     def difference_sq(z_parts, s, k):
-        q_zeta = 0.5 * np.conj(_chart_pairing(z_parts, s, k, z0, t0, h0))
-        q_center = 0.5 * np.conj(
-            _chart_pairing(z_parts, s, k, np.zeros(n, dtype=np.complex128), 0.0, 1.0)
-        )
+        q_zeta = 0.5 * np.conj(sp._pairing_form(z_parts, s, k, zeta))
+        q_center = 0.5 * np.conj(sp._pairing_form(z_parts, s, k, center))
         diff = q_zeta ** (-m) - q_center ** (-m)
         return np.abs(diff) ** 2
 

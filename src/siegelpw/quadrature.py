@@ -37,14 +37,11 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "HalfLineRule",
     "gauss_laguerre",
-    "integrate_halfline",
-    "halfline_moment_error",
     "GaussianRule",
     "gauss_hermite_nodes",
     "gaussian_rule",
     "integrate_gaussian",
     "Axis1D",
-    "legendre_axis",
     "tan_axis",
     "tan_half_axis",
     "power_tail_axis",
@@ -52,7 +49,6 @@ __all__ = [
     "BoxRule",
     "integrate_box",
     "monte_carlo",
-    "box_sampler",
 ]
 
 
@@ -200,23 +196,6 @@ def _polish_golub_welsch(
     return x, 1.0 / sum_sq
 
 
-def integrate_halfline(rule: HalfLineRule, f: Callable[[np.ndarray], np.ndarray]) -> complex:
-    """``∫_0^∞ f(x) x^a e^{-c x} dx`` by the rule (``f`` vectorized, bare)."""
-    vals = np.asarray(f(rule.nodes))
-    return complex(np.sum(rule.weights * vals))
-
-
-def halfline_moment_error(rule: HalfLineRule, k: int) -> float:
-    """Relative error of the rule on the monomial ``x^k`` against
-    ``Γ(k+a+1)/c^(k+a+1)`` (log-space reference; exact for ``k ≤ 2N-1``)."""
-    approx = float(np.sum(rule.weights * rule.nodes**k))
-    exact = math.exp(
-        math.lgamma(k + rule.exponent + 1.0)
-        - (k + rule.exponent + 1.0) * math.log(rule.scale)
-    )
-    return abs(approx - exact) / abs(exact)
-
-
 # ---------------------------------------------------------------------------
 # Gaussian (Hermite) rules on R^d
 # ---------------------------------------------------------------------------
@@ -312,16 +291,6 @@ class Axis1D:
     @property
     def node_count(self) -> int:
         return len(self.nodes)
-
-
-def legendre_axis(lower: float, upper: float, panels: int = 1, order: int = 16) -> Axis1D:
-    """Plain composite Gauss–Legendre on the finite interval [lower, upper]."""
-    if not upper > lower:
-        raise InvalidParameterError(f"need upper > lower, got [{lower}, {upper}]")
-    x, w = _composite_gauss_legendre(lower, upper, panels, order)
-    return Axis1D(
-        "legendre", {"lower": lower, "upper": upper, "panels": panels, "order": order}, x, w
-    )
 
 
 def tan_axis(scale: float, panels: int = 4, order: int = 16) -> Axis1D:
@@ -526,17 +495,3 @@ def monte_carlo(
     estimate = complex(vals.mean())
     var = vals.real.var(ddof=1) + vals.imag.var(ddof=1)
     return estimate, math.sqrt(var / sample_count)
-
-
-def box_sampler(bounds: Sequence[tuple[float, float]]):
-    """Uniform sampling on a finite box given as [(lo, hi), …]."""
-    for lo, hi in bounds:
-        if not hi > lo:
-            raise InvalidParameterError(f"degenerate box side [{lo}, {hi}]")
-    volume = float(np.prod([hi - lo for lo, hi in bounds]))
-
-    def sample(rng: np.random.Generator, count: int):
-        cols = [rng.uniform(lo, hi, size=count) for lo, hi in bounds]
-        return cols, np.full(count, 1.0 / volume)
-
-    return sample

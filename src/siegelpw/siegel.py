@@ -1,31 +1,35 @@
 """Geometry of the Siegel upper half-space.
 
-Points live in C^{n+1}, written as (zeta_prime, zeta_last) with
+A point of C^{n+1} is written ambiently as (zeta_prime, zeta_last) with
 zeta_prime in C^n.  The domain is the sublevel region where the height
 
     rho(zeta) = Im(zeta_last) - |zeta_prime|^2 / 4
 
-is positive; rho = 0 is the boundary.  A horocyclic chart identifies the
-closed domain with (Heisenberg group) x [0, infinity):
+is positive; rho = 0 is the boundary.  Points are stored in the horocyclic
+chart (z, t, h) = (zeta_prime, Re zeta_last, rho(zeta)), which identifies
+the closed domain with (Heisenberg group) x [0, infinity); the ambient
+coordinate zeta_last = t + i(|z|^2/4 + h) is derived.  So the height is
+read, never recomputed: only ambient input pays the subtraction above.
 
-    psi(zeta)        = (z, t, h) = (zeta_prime, Re zeta_last, rho(zeta)),
-    psi_inv(z, t, h) = (z, t + i(|z|^2/4 + h)).
-
+Every kernel and chart value of the package is built from one Hermitian
+pairing, written once in :func:`pairing_parts`; its diagonal is the height.
 The boundary (h = 0) carries the Heisenberg group structure from
 :mod:`siegelpw.heisenberg`, and the full holomorphic automorphism group
 is generated by four families — boundary translations, positive
 dilations, unitary rotations of the first n slots, and a point
-inversion — represented here as a tagged union plus free compositions.
+inversion — represented here as a tagged union plus free compositions;
+each updates the height without a subtraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .heisenberg import HeisenbergElement
+from .heisenberg import HeisenbergElement, mul
 
 # Points with |rho| below this band are treated as boundary points, so
 # round-trip noise cannot flip membership verdicts.
@@ -42,32 +46,49 @@ def _as_complex_vector(values, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SiegelPoint:
-    """A point (zeta_prime, zeta_last) of C^{n+1}."""
+    """A point of C^{n+1} in chart coordinates: lateral part ``z``, boundary
+    time ``t`` and height ``h`` (negative outside the closed half-space)."""
 
-    zeta_prime: np.ndarray
-    zeta_last: complex
+    z: np.ndarray
+    t: float
+    h: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "zeta_prime", _as_complex_vector(self.zeta_prime, "zeta_prime")
-        )
-        object.__setattr__(self, "zeta_last", complex(self.zeta_last))
+        object.__setattr__(self, "z", _as_complex_vector(self.z, "z"))
+        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "h", float(self.h))
+
+    @classmethod
+    def from_ambient(cls, zeta_prime, zeta_last) -> "SiegelPoint":
+        """The point (zeta_prime, zeta_last); its height is the one place a
+        subtraction Im(zeta_last) - |zeta_prime|^2/4 cannot be avoided."""
+        zeta_prime = _as_complex_vector(zeta_prime, "zeta_prime")
+        zeta_last = complex(zeta_last)
+        height = zeta_last.imag - 0.25 * float(np.sum(np.abs(zeta_prime) ** 2))
+        return cls(zeta_prime, zeta_last.real, height)
 
     @property
     def n(self) -> int:
-        return self.zeta_prime.shape[0]
+        return self.z.shape[0]
+
+    @property
+    def zeta_prime(self) -> np.ndarray:
+        return self.z
+
+    @property
+    def zeta_last(self) -> complex:
+        return complex(self.t, 0.25 * float(np.sum(np.abs(self.z) ** 2)) + self.h)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SiegelPoint):
             return NotImplemented
-        return self.zeta_last == other.zeta_last and np.array_equal(
-            self.zeta_prime, other.zeta_prime
-        )
+        return self.t == other.t and self.h == other.h and np.array_equal(self.z, other.z)
 
 
 @dataclass(frozen=True, eq=False)
 class HorocyclicCoordinates:
-    """Chart coordinates (z, t, h): boundary part (z, t) and height h >= 0."""
+    """Chart coordinates (z, t, h) of the closed half-space: boundary part
+    (z, t) and height h >= 0."""
 
     z: np.ndarray
     t: float
@@ -84,10 +105,6 @@ class HorocyclicCoordinates:
     @property
     def n(self) -> int:
         return self.z.shape[0]
-
-    @property
-    def boundary_part(self) -> HeisenbergElement:
-        return HeisenbergElement(z=self.z, t=self.t)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HorocyclicCoordinates):
@@ -123,42 +140,61 @@ class BallPoint:
         return np.array_equal(self.omega, other.omega)
 
 
+@lru_cache(maxsize=None)
 def base_point(n: int) -> SiegelPoint:
-    """The reference interior point (0, ..., 0, i), at unit height."""
-    return SiegelPoint(zeta_prime=np.zeros(n, dtype=np.complex128), zeta_last=1j)
+    """The reference interior point (0, ..., 0, i), at unit height (one
+    shared immutable point per dimension)."""
+    return SiegelPoint(np.zeros(n, dtype=np.complex128), 0.0, 1.0)
 
 
 def rho(p: SiegelPoint) -> float:
-    """Defining height Im(zeta_last) - |zeta_prime|^2 / 4."""
-    return float(p.zeta_last.imag - 0.25 * float(np.sum(np.abs(p.zeta_prime) ** 2)))
+    """Defining height Im(zeta_last) - |zeta_prime|^2 / 4, as stored."""
+    return p.h
 
 
 def classify(p: SiegelPoint) -> str:
     """Return 'interior', 'boundary', or 'exterior' with a +/-1e-12 band."""
-    height = rho(p)
-    if height > BOUNDARY_BAND:
+    if p.h > BOUNDARY_BAND:
         return "interior"
-    if height < -BOUNDARY_BAND:
+    if p.h < -BOUNDARY_BAND:
         return "exterior"
     return "boundary"
 
 
+def pairing_parts(z_components, t, h, anchor):
+    """Real and imaginary parts of twice the Hermitian pairing
+    ``q(zeta, omega) = (zeta_last - conj(omega_last))/(2i) - zeta'.conj(omega')/4``
+    of the chart point ``zeta = (z, t, h)`` (holomorphic slot) against the
+    point ``omega = anchor`` (anything with chart attributes ``z``, ``t``, ``h``).
+
+    ``z_components`` holds one entry per lateral slot, and the entries, ``t``
+    and ``h`` broadcast as arrays.  The real part is positive when the total
+    height is and does not depend on t, the imaginary part does not depend
+    on h, so on a tensor grid each lives on a sub-grid.  On the diagonal the
+    parts are twice the height and zero.
+    """
+    z0 = anchor.z.tolist()
+    zsq = sum(np.abs(zj) ** 2 for zj in z_components)
+    # An anchor on the axis has no cross term: skipping it leaves the
+    # imaginary part on the t axis alone, not on the lateral sub-grid.
+    cross = sum(zj * z0j.conjugate() for zj, z0j in zip(z_components, z0)) if any(z0) else 0.0
+    z0sq = float(np.sum(np.abs(anchor.z) ** 2))
+    re = (h + anchor.h) + 0.25 * (zsq + z0sq) - 0.5 * cross.real
+    return re, -((t - anchor.t) + 0.5 * cross.imag)
+
+
 def psi(p: SiegelPoint) -> HorocyclicCoordinates:
-    """Chart map: (z, t, h) = (zeta_prime, Re zeta_last, rho)."""
-    height = rho(p)
-    if height < -BOUNDARY_BAND:
+    """Chart map of the closed half-space: (z, t, h) = (zeta_prime, Re zeta_last, rho)."""
+    if p.h < -BOUNDARY_BAND:
         raise InvalidParameterError(
-            f"point lies outside the closed half-space (height {height})"
+            f"point lies outside the closed half-space (height {p.h})"
         )
-    return HorocyclicCoordinates(
-        z=p.zeta_prime, t=float(p.zeta_last.real), h=max(height, 0.0)
-    )
+    return HorocyclicCoordinates(z=p.z, t=p.t, h=p.h)
 
 
 def psi_inv(c: HorocyclicCoordinates) -> SiegelPoint:
     """Inverse chart map: (z, t, h) -> (z, t + i(|z|^2/4 + h))."""
-    imag = 0.25 * float(np.sum(np.abs(c.z) ** 2)) + c.h
-    return SiegelPoint(zeta_prime=c.z, zeta_last=complex(c.t, imag))
+    return SiegelPoint(c.z, c.t, c.h)
 
 
 def cayley(w: BallPoint) -> SiegelPoint:
@@ -166,19 +202,19 @@ def cayley(w: BallPoint) -> SiegelPoint:
     denom = 1.0 - w.omega[-1]
     if denom == 0:
         raise InvalidParameterError("last coordinate 1 is the pole of the map")
-    return SiegelPoint(
-        zeta_prime=2.0 * w.omega[:-1] / denom,
-        zeta_last=1j * (1.0 + w.omega[-1]) / denom,
+    return SiegelPoint.from_ambient(
+        2.0 * w.omega[:-1] / denom, 1j * (1.0 + w.omega[-1]) / denom
     )
 
 
 def cayley_inv(p: SiegelPoint) -> BallPoint:
     """Inverse ball map: zeta -> (i zeta'/(zeta_last + i), (zeta_last - i)/(zeta_last + i))."""
-    denom = p.zeta_last + 1j
+    zeta_last = p.zeta_last
+    denom = zeta_last + 1j
     if denom == 0:
         raise InvalidParameterError("point -i maps to the boundary pole")
     omega = np.concatenate(
-        [1j * p.zeta_prime / denom, np.asarray([(p.zeta_last - 1j) / denom])]
+        [1j * p.z / denom, np.asarray([(zeta_last - 1j) / denom])]
     )
     return BallPoint(omega=omega)
 
@@ -193,6 +229,12 @@ class HeisenbergTranslation:
     """Affine holomorphic shift acting as right group translation on the chart."""
 
     element: HeisenbergElement
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.element, HeisenbergElement):
+            raise InvalidParameterError(
+                f"translation payload must be a HeisenbergElement, got {type(self.element).__name__}"
+            )
 
 
 @dataclass(frozen=True)
@@ -251,32 +293,25 @@ Automorphism = (
 
 
 def apply(phi, p: SiegelPoint) -> SiegelPoint:
-    """Apply an automorphism to a point of the closed half-space."""
+    """Apply an automorphism to a point of the closed half-space; each
+    generator acts on the chart coordinates and sets the height directly."""
     if isinstance(phi, HeisenbergTranslation):
-        w = np.asarray(phi.element.z, dtype=np.complex128)
-        if w.shape[0] != p.n:
-            raise InvalidParameterError("translation dimension mismatch")
-        # Holomorphic affine form of right translation by (w, s): it shifts
-        # the chart's boundary part and leaves the height untouched.
-        shift = (
-            phi.element.t
-            + 0.25j * float(np.sum(np.abs(w) ** 2))
-            + 0.5j * np.sum(p.zeta_prime * np.conj(w))
-        )
-        return SiegelPoint(zeta_prime=p.zeta_prime + w, zeta_last=p.zeta_last + shift)
+        # Right group translation of the boundary part; the height is unchanged.
+        moved = mul(HeisenbergElement(p.z, p.t), phi.element)
+        return SiegelPoint(moved.z, moved.t, p.h)
     if isinstance(phi, Dilation):
         d = phi.delta
-        return SiegelPoint(zeta_prime=d * p.zeta_prime, zeta_last=d * d * p.zeta_last)
+        return SiegelPoint(d * p.z, d * d * p.t, d * d * p.h)
     if isinstance(phi, Unitary):
         if phi.matrix.shape[0] != p.n:
             raise InvalidParameterError("unitary dimension mismatch")
-        return SiegelPoint(zeta_prime=phi.matrix @ p.zeta_prime, zeta_last=p.zeta_last)
+        return SiegelPoint(phi.matrix @ p.z, p.t, p.h)
     if isinstance(phi, Inversion):
-        if p.zeta_last == 0:
+        zeta_last = p.zeta_last
+        if zeta_last == 0:
             raise InvalidParameterError("inversion pole: zeta_last = 0")
-        return SiegelPoint(
-            zeta_prime=1j * p.zeta_prime / p.zeta_last, zeta_last=-1.0 / p.zeta_last
-        )
+        modulus_sq = abs(zeta_last) ** 2
+        return SiegelPoint(1j * p.z / zeta_last, -p.t / modulus_sq, p.h / modulus_sq)
     if isinstance(phi, Composition):
         out = p
         for factor in reversed(phi.maps):
@@ -303,31 +338,23 @@ def _vector_from_json(items) -> np.ndarray:
 
 
 def point_to_json(p: SiegelPoint) -> dict:
-    return {
-        "zeta_prime": _vector_to_json(p.zeta_prime),
-        "zeta_last": _complex_to_json(p.zeta_last),
-    }
+    """The stored chart coordinates, so a point reads back bit for bit."""
+    return {"z": _vector_to_json(p.z), "t": p.t, "h": p.h}
 
 
 def point_from_json(doc: dict) -> SiegelPoint:
-    re, im = doc["zeta_last"]
-    return SiegelPoint(
-        zeta_prime=_vector_from_json(doc["zeta_prime"]), zeta_last=complex(re, im)
-    )
-
-
-def chart_to_json(c: HorocyclicCoordinates) -> dict:
-    return {"z": _vector_to_json(c.z), "t": c.t, "h": c.h}
+    """A point from its chart form ``{'z', 't', 'h'}`` (any height) or its
+    ambient form ``{'zeta_prime', 'zeta_last'}``."""
+    if "zeta_last" in doc:
+        re, im = doc["zeta_last"]
+        return SiegelPoint.from_ambient(_vector_from_json(doc["zeta_prime"]), complex(re, im))
+    return SiegelPoint(_vector_from_json(doc["z"]), float(doc["t"]), float(doc["h"]))
 
 
 def chart_from_json(doc: dict) -> HorocyclicCoordinates:
     return HorocyclicCoordinates(
         z=_vector_from_json(doc["z"]), t=float(doc["t"]), h=float(doc["h"])
     )
-
-
-def ball_point_to_json(w: BallPoint) -> dict:
-    return {"omega": _vector_to_json(w.omega)}
 
 
 def ball_point_from_json(doc: dict) -> BallPoint:

@@ -43,10 +43,10 @@ from .gammaexpr import GammaExpression, paley_wiener_constant
 from .siegel import (
     HorocyclicCoordinates,
     SiegelPoint,
+    base_point,
+    pairing_parts,
     point_from_json,
     point_to_json,
-    psi,
-    rho,
 )
 
 __all__ = [
@@ -91,31 +91,29 @@ def _plancherel(n: int) -> float:
     return (2.0 * math.pi) ** (-(n + 1))
 
 
-def _as_chart(point: SiegelPoint | HorocyclicCoordinates) -> HorocyclicCoordinates:
-    if isinstance(point, HorocyclicCoordinates):
-        return point
-    if isinstance(point, SiegelPoint):
-        return psi(point)
-    raise InvalidParameterError(
-        f"expected a domain point or chart coordinates, got {type(point).__name__}"
-    )
+def _interior(point: SiegelPoint | HorocyclicCoordinates, what: str):
+    """The point itself, after checking that it is a domain point or chart
+    coordinates at positive height."""
+    if not isinstance(point, (SiegelPoint, HorocyclicCoordinates)):
+        raise InvalidParameterError(
+            f"expected a domain point or chart coordinates, got {type(point).__name__}"
+        )
+    if not point.h > 0.0:
+        raise InvalidParameterError(
+            f"{what} requires an interior point (positive height), got height {point.h}"
+        )
+    return point
 
 
-def _pairing_parts(z_components, t, h, z0: np.ndarray, t0: float, h0: float):
-    """Real and imaginary parts of two times the Hermitian pairing of the
-    chart point (z,t,h) against the interior point (z0,t0,h0).  The real part
-    is positive on the domain and does not depend on t, the imaginary part
-    does not depend on h, so on a tensor grid each lives on a sub-grid."""
-    zsq = sum(np.abs(zj) ** 2 for zj in z_components)
-    cross = sum(zj * np.conj(z0j) for zj, z0j in zip(z_components, z0))
-    z0sq = float(np.sum(np.abs(z0) ** 2))
-    re = (h + h0) + 0.25 * (zsq + z0sq) - 0.5 * np.real(cross)
-    return re, -((t - t0) + 0.5 * np.imag(cross))
+def _axis_point(n: int, h: float) -> SiegelPoint:
+    """The point (0, 0, h) on the symmetry axis."""
+    return SiegelPoint(np.zeros(n, dtype=np.complex128), 0.0, h)
 
 
-def _pairing_form(z_components, t, h, z0: np.ndarray, t0: float, h0: float):
-    """The pairing of :func:`_pairing_parts` as one complex array."""
-    re, im = _pairing_parts(z_components, t, h, z0, t0, h0)
+def _pairing_form(z_components, t, h, anchor):
+    """Twice the pairing of :func:`~siegelpw.siegel.pairing_parts` as one
+    complex array."""
+    re, im = pairing_parts(z_components, t, h, anchor)
     return re + 1j * im
 
 
@@ -169,22 +167,26 @@ def _monomial(z_components, alpha) -> np.ndarray | complex:
     return out if out is not None else 1.0 + 0.0j
 
 
-def _conjugate_p_values(truncation: _fock.FockTruncation, mu, z_components, t):
-    """Conjugated matrix coefficients against the lowest-degree vector.
+def _slot_amplitude(alpha: _fock.MultiIndex) -> float:
+    """``(alpha! 2^|alpha|)^(-1/2)``, the weight of basis slot ``alpha``."""
+    return math.exp(-0.5 * alpha.log_factorial - 0.5 * alpha.degree * math.log(2.0))
 
-    Returns ``conj(p_alpha(-mu, z, t))`` for every enumerated index, shaped
-    ``(dim,) + broadcast(mu, z, t)``; ``p_alpha`` is the pairing of the
-    translated lowest-degree vector with ``e_alpha`` at negative frequency.
+
+def _conjugate_p_values(truncation: _fock.FockTruncation, mu, base: SiegelPoint):
+    """Conjugated matrix coefficients against the lowest-degree vector, damped
+    by the base's height.
+
+    Returns ``e^(-h*mu) * conj(p_alpha(-mu, z, t))`` at the base ``(z, t, h)``
+    for every enumerated index, shaped ``(dim,) + shape(mu)``; ``p_alpha`` is
+    the pairing of the translated lowest-degree vector with ``e_alpha`` at
+    negative frequency, and the damped prefactor is ``e^(-mu * 2q(base, 0))``.
     """
     mu = np.asarray(mu, dtype=float)
-    zsq = sum(np.abs(zj) ** 2 for zj in z_components)
-    prefactor = np.asarray(np.exp(mu * (1j * t - 0.25 * zsq)))
+    prefactor = np.exp(-mu * _pairing_form(base.z, base.t, base.h, _axis_point(base.n, 0.0)))
     out = np.empty((truncation.dim,) + prefactor.shape, dtype=np.complex128)
     for i, alpha in enumerate(truncation.indices):
         amp = math.exp(-0.5 * alpha.log_factorial)
-        out[i] = prefactor * amp * (0.5 * mu) ** (0.5 * alpha.degree) * _monomial(
-            z_components, alpha
-        )
+        out[i] = prefactor * amp * (0.5 * mu) ** (0.5 * alpha.degree) * _monomial(base.z, alpha)
     return out
 
 
@@ -203,6 +205,15 @@ class _Piece:
     scale: float
     frequency: float
     values: Callable[[np.ndarray], np.ndarray]
+
+
+def _phase_piece(power: float, amp: complex, point, anchor) -> _Piece:
+    """The piece ``amp * mu^power * e^(-mu * 2q(point, anchor))``: the real
+    part of the pairing is its decay rate, minus the imaginary part its
+    phase."""
+    re, im = pairing_parts(point.z, point.t, point.h, anchor)
+    phase = -float(im)
+    return _Piece(power, float(re), abs(phase), lambda mu, a=amp, p=phase: a * np.exp(1j * p * mu))
 
 
 def _check_piece(piece: _Piece) -> None:
@@ -292,12 +303,8 @@ class KernelProfile:
             raise InvalidParameterError(
                 f"need 2m+nu >= -1, got m={self.m}, nu={self.nu}"
             )
-        if rho(self.base) <= 0:
+        if not self.base.h > 0:
             raise InvalidParameterError("base point must lie in the open domain")
-
-    @cached_property
-    def chart(self) -> HorocyclicCoordinates:
-        return psi(self.base)
 
     @property
     def _boundary_limit(self) -> bool:
@@ -316,12 +323,12 @@ class KernelProfile:
 
     def hs_pure_terms(self) -> list[tuple[float, float, float]]:
         c = self.normalization
-        return [(c * c, 2.0 * self.nu + 2.0, 2.0 * self.chart.h)]
+        return [(c * c, 2.0 * self.nu + 2.0, 2.0 * self.base.h)]
 
     def hs_norm_sq_values(self, mu) -> np.ndarray:
         mu = np.asarray(mu, dtype=float)
         c = self.normalization
-        return c * c * mu ** (2.0 * self.nu + 2.0) * np.exp(-2.0 * self.chart.h * mu)
+        return c * c * mu ** (2.0 * self.nu + 2.0) * np.exp(-2.0 * self.base.h * mu)
 
     @property
     def trace_mu_power(self) -> float:
@@ -329,40 +336,24 @@ class KernelProfile:
 
     def trace_values(self, mu, z_components, t) -> np.ndarray:
         """Trace of the field at frequency ``-mu`` against the adjoint of the
-        translated representation operator at chart position ``(z, t)``."""
-        ch = self.chart
-        z0sq = float(np.sum(np.abs(ch.z) ** 2))
-        zsq = sum(np.abs(zj) ** 2 for zj in z_components)
-        cross = sum(zj * np.conj(z0j) for zj, z0j in zip(z_components, ch.z))
-        exponent = mu * (
-            -(ch.h + 0.25 * (zsq + z0sq)) + 0.5 * cross + 1j * (t - ch.t)
-        )
-        return self.normalization * mu ** (self.nu + 1.0) * np.exp(exponent)
+        translated representation operator at chart position ``(z, t)``:
+        ``e^(-mu * 2q((z, t, 0), base))`` times the radial factor."""
+        two_q = _pairing_form(z_components, t, 0.0, self.base)
+        return self.normalization * mu ** (self.nu + 1.0) * np.exp(-mu * two_q)
 
     def coefficient_values(self, truncation: _fock.FockTruncation, mu) -> np.ndarray:
         """Vector part on the enumerated basis, shaped ``(dim,) + shape(mu)``."""
-        ch = self.chart
         mu = np.asarray(mu, dtype=float)
-        radial = self.normalization * mu ** (self.nu + 1.0) * np.exp(-ch.h * mu)
-        z0 = [np.asarray(z0j) for z0j in ch.z]
-        return radial * _conjugate_p_values(truncation, mu, z0, ch.t)
+        radial = self.normalization * mu ** (self.nu + 1.0)
+        return radial * _conjugate_p_values(truncation, mu, self.base)
 
     # -- synthesis ---------------------------------------------------------
 
     def synthesis_decay(self, h: float) -> float:
-        return h + self.chart.h
+        return h + self.base.h
 
-    def synthesis_pieces(self, coords: HorocyclicCoordinates) -> list[_Piece]:
-        ch = self.chart
-        dz = coords.z - ch.z
-        scale = coords.h + ch.h + 0.25 * float(np.sum(np.abs(dz) ** 2))
-        cross = complex(np.sum(coords.z * np.conj(ch.z)))
-        phase = (coords.t - ch.t) + 0.5 * cross.imag
-        amp = complex(self.normalization)
-        power = self.n + self.nu + 1.0
-        return [
-            _Piece(power, scale, abs(phase), lambda mu, a=amp, p=phase: a * np.exp(1j * p * mu))
-        ]
+    def synthesis_pieces(self, coords) -> list[_Piece]:
+        return [_phase_piece(self.n + self.nu + 1.0, complex(self.normalization), coords, self.base)]
 
 
 @dataclass(frozen=True)
@@ -388,12 +379,8 @@ class DirichletKernelProfile:
                 f"base point has dimension {self.base.n}, expected {self.n}"
             )
         spectral_weight(Dirichlet(self.m), self.n)
-        if rho(self.base) <= 0:
+        if not self.base.h > 0:
             raise InvalidParameterError("base point must lie in the open domain")
-
-    @cached_property
-    def chart(self) -> HorocyclicCoordinates:
-        return psi(self.base)
 
     def normalization_expression(self) -> GammaExpression:
         from fractions import Fraction
@@ -407,8 +394,7 @@ class DirichletKernelProfile:
 
     @property
     def is_zero(self) -> bool:
-        ch = self.chart
-        return bool(np.all(ch.z == 0) and ch.t == 0.0 and ch.h == 1.0)
+        return self.base == base_point(self.n)
 
     # -- spectral data -----------------------------------------------------
 
@@ -419,23 +405,17 @@ class DirichletKernelProfile:
     def _small_mu_vanishing_order(self) -> int:
         """Order of the zero of the squared vector length's bracket at
         frequency 0 (1 generically, 2 when the base has no transverse part)."""
-        ch = self.chart
-        return 1 if float(np.sum(np.abs(ch.z) ** 2)) > 0.0 else 2
+        return 1 if float(np.sum(np.abs(self.base.z) ** 2)) > 0.0 else 2
 
     @property
     def hs_decay(self) -> float:
-        return 2.0 * min(self.chart.h, 1.0)
+        return 2.0 * min(self.base.h, 1.0)
 
     def hs_norm_sq_values(self, mu) -> np.ndarray:
-        ch = self.chart
         mu = np.asarray(mu, dtype=float)
-        z0sq = float(np.sum(np.abs(ch.z) ** 2))
-        beta = ch.h + 1.0 + 0.25 * z0sq
-        bracket = (
-            np.exp(-2.0 * ch.h * mu)
-            - 2.0 * np.exp(-beta * mu) * np.cos(mu * ch.t)
-            + np.exp(-2.0 * mu)
-        )
+        center = base_point(self.n)
+        cross = np.exp(-mu * _pairing_form(center.z, center.t, center.h, self.base))
+        bracket = np.exp(-2.0 * self.base.h * mu) - 2.0 * cross.real + np.exp(-2.0 * mu)
         c = self.normalization
         return c * c * mu ** (-2.0 * self.n - 2.0) * np.maximum(bracket, 0.0)
 
@@ -444,31 +424,22 @@ class DirichletKernelProfile:
         return -self.n - 1.0
 
     def trace_values(self, mu, z_components, t) -> np.ndarray:
-        ch = self.chart
-        z0sq = float(np.sum(np.abs(ch.z) ** 2))
-        zsq = sum(np.abs(zj) ** 2 for zj in z_components)
-        cross = sum(zj * np.conj(z0j) for zj, z0j in zip(z_components, ch.z))
-        base_part = np.exp(
-            mu * (-(ch.h + 0.25 * (zsq + z0sq)) + 0.5 * cross + 1j * (t - ch.t))
-        )
-        center_part = np.exp(mu * (-(1.0 + 0.25 * zsq) + 1j * t))
+        base_part = np.exp(-mu * _pairing_form(z_components, t, 0.0, self.base))
+        center_part = np.exp(-mu * _pairing_form(z_components, t, 0.0, base_point(self.n)))
         return self.normalization * mu ** (-self.n - 1.0) * (base_part - center_part)
 
     def coefficient_values(self, truncation: _fock.FockTruncation, mu) -> np.ndarray:
-        ch = self.chart
         mu = np.asarray(mu, dtype=float)
-        z0 = [np.asarray(z0j) for z0j in ch.z]
-        rows = np.exp(-ch.h * mu) * _conjugate_p_values(truncation, mu, z0, ch.t)
-        rows = np.array(rows, copy=True)
+        rows = _conjugate_p_values(truncation, mu, self.base)
         rows[0] = rows[0] - np.exp(-mu)
         return self.normalization * mu ** (-self.n - 1.0) * rows
 
     # -- synthesis ---------------------------------------------------------
 
     def synthesis_decay(self, h: float) -> float:
-        return min(h, 1.0) + min(self.chart.h, 1.0)
+        return min(h, 1.0) + min(self.base.h, 1.0)
 
-    def synthesis_pieces(self, coords: HorocyclicCoordinates) -> list[_Piece]:
+    def synthesis_pieces(self, coords) -> list[_Piece]:
         raise DivergentIntegralError(
             "plain synthesis of the logarithmic-kernel field diverges at frequency 0; "
             "use synthesize_dirichlet"
@@ -546,14 +517,10 @@ class FiniteProfile:
         return min(term.power + 0.5 * term.alpha.degree for term in self.terms)
 
     def trace_values(self, mu, z_components, t) -> np.ndarray:
-        zsq = sum(np.abs(zj) ** 2 for zj in z_components)
-        common = np.exp(mu * (1j * t - 0.25 * zsq))
+        common = np.exp(-mu * _pairing_form(z_components, t, 0.0, _axis_point(self.n, 0.0)))
         total = 0.0
         for term in self.terms:
-            amp = (
-                np.conj(term.coefficient)
-                * math.exp(-0.5 * term.alpha.log_factorial - 0.5 * term.alpha.degree * math.log(2.0))
-            )
+            amp = np.conj(term.coefficient) * _slot_amplitude(term.alpha)
             total = total + amp * mu ** (term.power + 0.5 * term.alpha.degree) * np.exp(
                 -term.decay * mu
             ) * _monomial(z_components, term.alpha)
@@ -579,22 +546,18 @@ class FiniteProfile:
             return h + 1.0
         return h + min(term.decay for term in self.terms)
 
-    def synthesis_pieces(self, coords: HorocyclicCoordinates) -> list[_Piece]:
-        zsq = float(np.sum(np.abs(coords.z) ** 2))
-        pieces = []
-        for term in self.terms:
-            amp = (
+    def synthesis_pieces(self, coords) -> list[_Piece]:
+        return [
+            _phase_piece(
+                self.n + term.power + 0.5 * term.alpha.degree,
                 np.conj(term.coefficient)
-                * complex(_monomial(list(coords.z), term.alpha))
-                * math.exp(-0.5 * term.alpha.log_factorial - 0.5 * term.alpha.degree * math.log(2.0))
+                * complex(_monomial(coords.z, term.alpha))
+                * _slot_amplitude(term.alpha),
+                coords,
+                _axis_point(self.n, term.decay),
             )
-            power = self.n + term.power + 0.5 * term.alpha.degree
-            scale = coords.h + term.decay + 0.25 * zsq
-            phase = coords.t
-            pieces.append(
-                _Piece(power, scale, abs(phase), lambda mu, a=amp, p=phase: a * np.exp(1j * p * mu))
-            )
-        return pieces
+            for term in self.terms
+        ]
 
 
 @dataclass(frozen=True)
@@ -648,7 +611,7 @@ class DerivedProfile:
     def synthesis_decay(self, h: float) -> float:
         return self.base.synthesis_decay(h)
 
-    def synthesis_pieces(self, coords: HorocyclicCoordinates) -> list[_Piece]:
+    def synthesis_pieces(self, coords) -> list[_Piece]:
         sign = self._sign
         return [
             _Piece(
@@ -797,34 +760,21 @@ def _unwrap_derived(profile: SpectralProfile) -> tuple[SpectralProfile, int]:
 def _cross_pieces(f: SpectralProfile, g: SpectralProfile) -> list[_Piece]:
     """Closed-form pieces of the node-wise pairing ⟨v_g(-mu), v_f(-mu)⟩."""
     if isinstance(f, KernelProfile) and isinstance(g, KernelProfile):
-        chf, chg = f.chart, g.chart
         amp = complex(f.normalization * g.normalization)
-        power = f.nu + g.nu + 2.0
-        dz = chf.z - chg.z
-        scale = chf.h + chg.h + 0.25 * float(np.sum(np.abs(dz) ** 2))
-        cross = complex(np.sum(chg.z * np.conj(chf.z)))
-        phase = (chg.t - chf.t) + 0.5 * cross.imag
-        return [
-            _Piece(power, scale, abs(phase), lambda mu, a=amp, p=phase: a * np.exp(1j * p * mu))
-        ]
+        return [_phase_piece(f.nu + g.nu + 2.0, amp, g.base, f.base)]
     if isinstance(f, KernelProfile) and isinstance(g, FiniteProfile):
-        ch = f.chart
-        zsq = float(np.sum(np.abs(ch.z) ** 2))
-        pieces = []
-        for term in g.terms:
-            amp = (
+        return [
+            _phase_piece(
+                term.power + f.nu + 1.0 + 0.5 * term.alpha.degree,
                 term.coefficient
                 * f.normalization
-                * complex(_monomial(list(np.conj(ch.z)), term.alpha))
-                * math.exp(-0.5 * term.alpha.log_factorial - 0.5 * term.alpha.degree * math.log(2.0))
+                * complex(_monomial(np.conj(f.base.z), term.alpha))
+                * _slot_amplitude(term.alpha),
+                _axis_point(f.n, term.decay),
+                f.base,
             )
-            power = term.power + f.nu + 1.0 + 0.5 * term.alpha.degree
-            scale = term.decay + ch.h + 0.25 * zsq
-            phase = -ch.t
-            pieces.append(
-                _Piece(power, scale, abs(phase), lambda mu, a=amp, p=phase: a * np.exp(1j * p * mu))
-            )
-        return pieces
+            for term in g.terms
+        ]
     if isinstance(f, FiniteProfile) and isinstance(g, FiniteProfile):
         f_map = {term.alpha: term for term in f.terms}
         pieces = []
@@ -848,18 +798,11 @@ def _cross_pieces(f: SpectralProfile, g: SpectralProfile) -> list[_Piece]:
 
 
 def _dirichlet_cross_values(f: DirichletKernelProfile, g: DirichletKernelProfile, mu):
-    chf, chg = f.chart, g.chart
-    fsq = float(np.sum(np.abs(chf.z) ** 2))
-    gsq = float(np.sum(np.abs(chg.z) ** 2))
-    cross = complex(np.sum(chg.z * np.conj(chf.z)))
-    overlap = np.exp(
-        mu * (-(chf.h + chg.h) - 0.25 * (fsq + gsq) + 0.5 * cross + 1j * (chg.t - chf.t))
-    )
-    p_g_conj = np.exp(mu * (1j * chg.t - 0.25 * gsq))
-    p_f = np.exp(mu * (-1j * chf.t - 0.25 * fsq))
-    term_g = np.exp(-(chg.h + 1.0) * mu) * p_g_conj
-    term_f = np.exp(-(chf.h + 1.0) * mu) * p_f
-    bracket = overlap - term_g - term_f + np.exp(-2.0 * mu)
+    """The node-wise pairing of two center-subtracted logarithmic fields: four
+    pairing exponentials among the two bases and the center."""
+    fb, gb, center = f.base, g.base, base_point(f.n)
+    pairs = ((1.0, gb, fb), (-1.0, gb, center), (-1.0, center, fb), (1.0, center, center))
+    bracket = sum(sign * np.exp(-mu * _pairing_form(a.z, a.t, a.h, b)) for sign, a, b in pairs)
     return f.normalization * g.normalization * mu ** (-2.0 * f.n - 2.0) * bracket
 
 
@@ -894,9 +837,9 @@ def l2nu_inner_product(
                 f"spectral pairing diverges at frequency 0 for weight {nu}"
             )
         decay = min(
-            f_base.chart.h + g_base.chart.h,
-            f_base.chart.h + 1.0,
-            g_base.chart.h + 1.0,
+            f_base.base.h + g_base.base.h,
+            f_base.base.h + 1.0,
+            g_base.base.h + 1.0,
             2.0,
         )
         value = _numeric_halfline(
@@ -945,11 +888,7 @@ def synthesize(
     against the adjoint representation operator, against ``mu^n``, normalized
     by (2π)^-(n+1).  Resolution is estimated by node-count doubling.
     """
-    coords = _as_chart(point)
-    if coords.h <= 0.0:
-        raise InvalidParameterError(
-            f"synthesis requires an interior point (positive height), got height {coords.h}"
-        )
+    coords = _interior(point, "synthesis")
     n = profile.n
     if n + profile.trace_mu_power <= -1.0:
         raise DivergentIntegralError(
@@ -977,11 +916,7 @@ def synthesize_dirichlet(
     center itself the integrand vanishes identically and the constant is
     returned exactly.
     """
-    coords = _as_chart(point)
-    if coords.h <= 0.0:
-        raise InvalidParameterError(
-            f"synthesis requires an interior point (positive height), got height {coords.h}"
-        )
+    coords = _interior(point, "synthesis")
     n = profile.n
     z_components = list(coords.z)
     center_z = [np.zeros_like(zj) for zj in coords.z]
@@ -1006,62 +941,51 @@ def _closed_profile_values(profile: SpectralProfile, z_components, t, h):
     base, order = _unwrap_derived(profile)
     n = base.n
     if isinstance(base, KernelProfile):
-        ch = base.chart
-        re, im = _pairing_parts(z_components, t, h, ch.z, ch.t, ch.h)
+        re, im = pairing_parts(z_components, t, h, base.base)
         s = n + 2.0 + base.nu + order
         sign = -1.0 if order % 2 else 1.0
         amp = sign * base.normalization * _plancherel(n) * math.gamma(s)
         return amp * _pairing_power(re, im, s)
     if isinstance(base, FiniteProfile):
-        zsq = sum(np.abs(zj) ** 2 for zj in z_components)
         sign = -1.0 if order % 2 else 1.0
         total = 0.0
         for term in base.terms:
             s = n + 1.0 + term.power + 0.5 * term.alpha.degree + order
-            amp = (
-                sign
-                * np.conj(term.coefficient)
-                * math.exp(-0.5 * term.alpha.log_factorial - 0.5 * term.alpha.degree * math.log(2.0))
-                * _plancherel(n)
-                * math.gamma(s)
-            )
-            power = _pairing_power(h + term.decay + 0.25 * zsq, -t, s)
+            amp = sign * np.conj(term.coefficient) * _slot_amplitude(term.alpha) * _plancherel(n)
+            amp = amp * math.gamma(s)
+            power = _pairing_power(*pairing_parts(z_components, t, h, _axis_point(n, term.decay)), s)
             total = total + amp * _monomial(z_components, term.alpha) * power
         return total if base.terms else np.zeros(np.broadcast(*z_components, t, h).shape, complex)
     if isinstance(base, DirichletKernelProfile):
-        ch = base.chart
-        center = np.zeros(base.n, dtype=np.complex128)
-        amp = base.normalization * _plancherel(n)
         if order == 0:
-            at_base = _pairing_form(z_components, t, h, ch.z, ch.t, ch.h)
-            at_center = _pairing_form(z_components, t, h, center, 0.0, 1.0)
-            center_zero = [np.asarray(0.0 + 0.0j) for _ in range(n)]
-            fixed = complex(_pairing_form(center_zero, 0.0, 1.0, ch.z, ch.t, ch.h))
-            return amp * (
+            center = base_point(n)
+            at_base = _pairing_form(z_components, t, h, base.base)
+            at_center = _pairing_form(z_components, t, h, center)
+            fixed = complex(_pairing_form(center.z, center.t, center.h, base.base))
+            return base.normalization * _plancherel(n) * (
                 np.log(at_center) - np.log(at_base) + np.log(fixed) - math.log(2.0)
             )
-        amp, _, _ = _log_derivative_split(profile)
-        at_base = _pairing_power(*_pairing_parts(z_components, t, h, ch.z, ch.t, ch.h), order)
+        amp, anchor, _ = _log_derivative_split(profile)
+        at_base = _pairing_power(*pairing_parts(z_components, t, h, anchor), order)
         return amp * (at_base - _center_power(z_components, t, h, order))
     raise InvalidParameterError(f"no closed form for profile type {type(base).__name__}")
 
 
 def _log_derivative_split(profile: SpectralProfile):
-    """``(amplitude, chart, order)`` with the closed form ``amplitude * (P -
+    """``(amplitude, base, order)`` with the closed form ``amplitude * (P -
     P_center)`` of a height derivative of order >= 1 of a logarithmic slice,
-    ``P`` the pairing power of that order at the slice's chart point and
-    ``P_center`` the one at the center; ``None`` for any other profile."""
+    ``P`` the pairing power of that order against the slice's base point and
+    ``P_center`` the one against the center; ``None`` for any other profile."""
     base, order = _unwrap_derived(profile)
     if not isinstance(base, DirichletKernelProfile) or order == 0:
         return None
     sign = -1.0 if order % 2 else 1.0
-    return base.normalization * _plancherel(base.n) * sign * math.gamma(order), base.chart, order
+    return base.normalization * _plancherel(base.n) * sign * math.gamma(order), base.base, order
 
 
 def _center_power(z_components, t, h, order: int):
-    """The pairing power of the given order at the center (0, 0, 1)."""
-    center = np.zeros(len(z_components), dtype=np.complex128)
-    return _pairing_power(*_pairing_parts(z_components, t, h, center, 0.0, 1.0), order)
+    """The pairing power of the given order against the center (0, 0, 1)."""
+    return _pairing_power(*pairing_parts(z_components, t, h, base_point(len(z_components))), order)
 
 
 def _combination_values(terms, z_components, t, h):
@@ -1073,15 +997,15 @@ def _combination_values(terms, z_components, t, h):
     shared: dict[int, complex] = {}
     for coeff, func in terms:
         split = None
-        if isinstance(func, ProfileFunction) and func.evaluation != "quadrature" and not func.constant:
+        if isinstance(func, ProfileFunction) and not func.constant:
             split = _log_derivative_split(func.profile)
         if split is None:
             piece = coeff * np.asarray(func.chart_values(z_components, t, h), dtype=np.complex128)
         else:
-            amp, ch, order = split
+            amp, anchor, order = split
             scale = coeff * amp
             shared[order] = shared.get(order, 0.0) + scale
-            piece = scale * _pairing_power(*_pairing_parts(z_components, t, h, ch.z, ch.t, ch.h), order)
+            piece = scale * _pairing_power(*pairing_parts(z_components, t, h, anchor), order)
         total = piece if total is None else total + piece
     for order, scale in shared.items():
         total = total - scale * _center_power(z_components, t, h, order)
@@ -1090,25 +1014,14 @@ def _combination_values(terms, z_components, t, h):
 
 @dataclass(frozen=True)
 class ProfileFunction:
-    """Chart-evaluable view of a synthesized field, plus an optional additive
-    constant (the constant is dropped by height derivatives).
-
-    ``evaluation`` selects closed-form values ("auto" and "closed" are the
-    same, since every profile family has one) or the frequency-quadrature
-    path ("quadrature"); the logarithmic-kernel family's quadrature path is
-    center-subtracted.
-    """
+    """Chart-evaluable view of a synthesized field by its closed form, plus an
+    optional additive constant (the constant is dropped by height
+    derivatives)."""
 
     profile: SpectralProfile
     constant: complex = 0.0 + 0.0j
-    evaluation: str = "auto"
-    node_count: int = 160
 
     def __post_init__(self) -> None:
-        if self.evaluation not in ("auto", "closed", "quadrature"):
-            raise InvalidParameterError(
-                f'evaluation must be "auto", "closed", or "quadrature", got {self.evaluation!r}'
-            )
         object.__setattr__(self, "constant", complex(self.constant))
 
     @property
@@ -1116,44 +1029,13 @@ class ProfileFunction:
         return self.profile.n
 
     def chart_values(self, z_components, t, h) -> np.ndarray:
-        if self.evaluation == "quadrature":
-            values = self._quadrature_values(z_components, t, h)
-        else:
-            values = _closed_profile_values(self.profile, z_components, t, h)
+        values = _closed_profile_values(self.profile, z_components, t, h)
         return values + self.constant if self.constant else values
-
-    def _quadrature_values(self, z_components, t, h) -> np.ndarray:
-        profile = self.profile
-        n = profile.n
-        base, _ = _unwrap_derived(profile)
-        subtracted = isinstance(base, DirichletKernelProfile)
-        scale = min(profile.synthesis_decay(0.0), profile.synthesis_decay(1.0))
-        exponent = n + profile.trace_mu_power
-        if not subtracted and exponent <= -1.0:
-            raise DivergentIntegralError("synthesis integral diverges at frequency 0")
-        rule = _quad.gauss_laguerre(0.0 if subtracted else max(exponent, 0.0), scale, self.node_count)
-        weights = rule.plain_weights()
-        total = 0.0
-        center_z = [0.0 + 0.0j] * n
-        for w, mu in zip(weights, rule.nodes):
-            mu = float(mu)
-            term = mu**n * np.exp(-h * mu) * profile.trace_values(mu, z_components, t)
-            if subtracted:
-                term = term - mu**n * math.exp(-mu) * complex(
-                    profile.trace_values(mu, center_z, 0.0)
-                )
-            total = total + w * term
-        return _plancherel(n) * total
 
     def height_derivative(self, order: int) -> "ProfileFunction":
         if order == 0:
             return self
-        return ProfileFunction(
-            spectral_derivative(self.profile, order),
-            0.0,
-            self.evaluation,
-            self.node_count,
-        )
+        return ProfileFunction(spectral_derivative(self.profile, order))
 
 
 @dataclass(frozen=True, eq=False)
@@ -1169,15 +1051,12 @@ class PointwiseFunction:
     )
 
     def chart_values(self, z_components, t, h) -> np.ndarray:
-        from .siegel import psi_inv
-
         broad = np.broadcast(*z_components, t, h)
         out = np.empty(broad.shape, dtype=np.complex128)
         flat = out.reshape(-1)
         for i, parts in enumerate(broad):
             zs = np.array(parts[: self.n], dtype=np.complex128)
-            coords = HorocyclicCoordinates(zs, float(np.real(parts[self.n])), float(np.real(parts[self.n + 1])))
-            flat[i] = self.values(psi_inv(coords))
+            flat[i] = self.values(SiegelPoint(zs, np.real(parts[self.n]), np.real(parts[self.n + 1])))
         return out
 
     def height_derivative(self, order: int) -> "PointwiseFunction":
@@ -1201,9 +1080,7 @@ def holomorphy_residuals(
     slots equals ``i z_j / 4`` times the transverse derivative, using
     Richardson-refined central differences; returns the maximum magnitude.
     """
-    coords = _as_chart(point)
-    if coords.h <= 0.0:
-        raise InvalidParameterError("residuals require an interior point")
+    coords = _interior(point, "the residual")
     if step <= 0.0 or step >= coords.h / 4.0:
         step = min(step if step > 0.0 else 1e-4, coords.h / 8.0)
 

@@ -22,6 +22,16 @@ def el(z, t=0.0):
     return hg.HeisenbergElement(np.atleast_1d(np.asarray(z, dtype=complex)), t)
 
 
+def box_sampler(bounds):
+    """Uniform Monte Carlo sampler on a finite box [(lo, hi), ...]."""
+    volume = math.prod(hi - lo for lo, hi in bounds)
+
+    def sample(rng, count):
+        return [rng.uniform(lo, hi, size=count) for lo, hi in bounds], np.full(count, 1.0 / volume)
+
+    return sample
+
+
 class TestGroupLaw:
     def test_frozen_product(self):
         # [1,0]·[i,0] = [1+i, 1/2]: twist = -Im(1·conj(i))/2 = +1/2.
@@ -38,6 +48,13 @@ class TestGroupLaw:
 
     def test_norm_pure_t(self):
         assert hg.homogeneous_norm(el(0.0, 4.0)) == pytest.approx(2.0, abs=1e-15)
+
+    def test_distance_is_right_quotient(self):
+        # a·c^{-1} = [0.1 - 0.1i, 0] has gauge |z|/2, while the left quotient
+        # c^{-1}·a = [0.1 - 0.1i, 0.2] does not.
+        a, c = el(1.0 + 1.0j, 0.3), el(0.9 + 1.1j, 0.2)
+        assert hg.distance(a, c) == pytest.approx(math.sqrt(0.02) / 2.0, rel=1e-12)
+        assert hg.homogeneous_norm(hg.mul(hg.inv(c), a)) > 1.5 * hg.distance(a, c)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -128,7 +145,7 @@ class TestHaarMeasure:
     def test_ball_volume_dilation_scaling(self):
         # |B(0, r)| = r^{2n+2} |B(0, 1)| via Monte Carlo containment counts.
         n, r = 1, 1.5
-        sampler = q.box_sampler([(-2.0, 2.0), (-2.0, 2.0), (-1.2, 1.2)])
+        sampler = box_sampler([(-2.0, 2.0), (-2.0, 2.0), (-1.2, 1.2)])
 
         def indicator(rad):
             def f(x, y, t):
@@ -140,22 +157,7 @@ class TestHaarMeasure:
         est_r, err_r = q.monte_carlo(sampler, indicator(1.0), 200_000, seed=5)
         # scaled ball, scaled box: reuse via dilation change of variables
         est_1 = est_r * r ** (2 * n + 2)
-        sampler2 = q.box_sampler([(-3.0, 3.0), (-3.0, 3.0), (-2.7, 2.7)])
+        sampler2 = box_sampler([(-3.0, 3.0), (-3.0, 3.0), (-2.7, 2.7)])
         est_2, err_2 = q.monte_carlo(sampler2, indicator(r), 200_000, seed=6)
         sigma = (r ** (2 * n + 2)) * err_r + err_2
         assert abs(est_1 - est_2) < 3.0 * sigma
-
-
-class TestBallsAndJson:
-    def test_in_ball_boundary(self):
-        center = el(0.0, 0.0)
-        assert hg.in_ball(center, 1.0, el(0.5))
-        assert not hg.in_ball(center, 1.0, el(2.1))
-        with pytest.raises(InvalidParameterError):
-            hg.in_ball(center, 0.0, el(0.5))
-
-    def test_in_ball_uses_right_quotient(self):
-        # a in B(c, r) iff |a·c^{-1}| < r
-        a, c = el(1.0 + 1.0j, 0.3), el(0.9 + 1.1j, 0.2)
-        assert hg.in_ball(c, hg.homogeneous_norm(hg.mul(a, hg.inv(c))) + 1e-9, a)
-        assert not hg.in_ball(c, hg.homogeneous_norm(hg.mul(a, hg.inv(c))) - 1e-9, a)

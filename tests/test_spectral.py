@@ -36,7 +36,6 @@ from siegelpw.siegel import (
     base_point,
     psi,
     psi_inv,
-    rho,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -115,6 +114,37 @@ def finite_value(profile, at):
             * denom ** (-s)
         )
     return total
+
+
+def quadrature_chart_values(profile, z_components, t, h, node_count):
+    """Chart values of a synthesized field by Gauss–Laguerre quadrature of its
+    frequency integral, point by point in frequency: the reference the
+    closed forms are checked against.  The logarithmic-kernel family is
+    center-subtracted, since its plain integral diverges at frequency 0."""
+    n = profile.n
+    base = profile.base if isinstance(profile, sp.DerivedProfile) else profile
+    subtracted = isinstance(base, sp.DirichletKernelProfile)
+    scale = min(profile.synthesis_decay(0.0), profile.synthesis_decay(1.0))
+    exponent = 0.0 if subtracted else max(n + profile.trace_mu_power, 0.0)
+    rule = quad.gauss_laguerre(exponent, scale, node_count)
+    total = 0.0
+    for w, mu in zip(rule.plain_weights(), rule.nodes):
+        mu = float(mu)
+        term = mu**n * np.exp(-h * mu) * profile.trace_values(mu, z_components, t)
+        if subtracted:
+            term = term - mu**n * math.exp(-mu) * complex(profile.trace_values(mu, [0.0j] * n, 0.0))
+        total = total + w * term
+    return total / TWO_PI ** (n + 1)
+
+
+class QuadratureFunction:
+    """A synthesized field evaluated on the chart by :func:`quadrature_chart_values`."""
+
+    def __init__(self, profile, node_count):
+        self.profile, self.node_count, self.n = profile, node_count, profile.n
+
+    def chart_values(self, z_components, t, h):
+        return quadrature_chart_values(self.profile, z_components, t, h, self.node_count)
 
 
 GENERIC_BASE_1 = point([0.3 + 0.1j], -0.2, 0.8)
@@ -526,21 +556,19 @@ class TestProfileFunction:
             finite_two_slot(),
             sp.DerivedProfile(sp.KernelProfile(1, 0.0, GENERIC_BASE_1), 1),
         ):
-            closed = sp.ProfileFunction(profile, evaluation="closed")
-            numeric = sp.ProfileFunction(profile, evaluation="quadrature", node_count=240)
+            closed = sp.ProfileFunction(profile)
             for z, t, h in targets:
                 a = complex(closed.chart_values(z, t, h))
-                b = complex(numeric.chart_values(z, t, h))
+                b = complex(quadrature_chart_values(profile, z, t, h, 240))
                 assert abs(a - b) < 1e-8 * abs(a)
 
     def test_log_quadrature_path_is_center_subtracted(self):
         base = point([0.3 - 0.2j], 0.4, 1.3)
         profile = sp.DirichletKernelProfile(1, 2, base)
-        numeric = sp.ProfileFunction(profile, evaluation="quadrature", node_count=280)
-        closed = sp.ProfileFunction(profile, evaluation="closed")
+        closed = sp.ProfileFunction(profile)
         z, t, h = [np.asarray(0.5 + 0.1j)], -0.7, 0.6
         a = complex(closed.chart_values(z, t, h))
-        b = complex(numeric.chart_values(z, t, h))
+        b = complex(quadrature_chart_values(profile, z, t, h, 280))
         expected = dotted_log_value(1, 2, chart([0.5 + 0.1j], t, h), psi(base))
         assert abs(a - expected) < 1e-12 * abs(expected)
         assert abs(b - expected) < 1e-7 * abs(expected)
@@ -559,15 +587,15 @@ class TestProfileFunction:
             complex(d_plain.chart_values(z, t, h))
         )
 
-    def test_invalid_evaluation_mode_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            sp.ProfileFunction(finite_two_slot(), evaluation="bogus")
-
-    @pytest.mark.parametrize("evaluation", ["auto", "closed"])
-    def test_foreign_profile_has_no_closed_form(self, evaluation):
+    # "auto": the field as built with default arguments; "closed": the same
+    # closed form carrying an additive constant, which must not bypass the
+    # closed-form lookup.
+    @pytest.mark.parametrize("constant", [0.0, 0.6 - 0.3j], ids=["auto", "closed"])
+    def test_foreign_profile_has_no_closed_form(self, constant):
         z, t, h = [np.array([0.2 + 0.1j])], np.array([0.3]), np.array([0.8])
+        foreign = sp.ProfileFunction(SimpleNamespace(n=1), constant=constant)
         with pytest.raises(InvalidParameterError, match="no closed form"):
-            sp.ProfileFunction(SimpleNamespace(n=1), evaluation=evaluation).chart_values(z, t, h)
+            foreign.chart_values(z, t, h)
 
     def test_holomorphy_residuals_are_small_for_synthesized_fields(self):
         where = point([0.3 + 0.2j], 0.4, 0.9)
@@ -577,9 +605,7 @@ class TestProfileFunction:
             sp.DirichletKernelProfile(1, 2, point([0.3], 0.5, 1.2))
         )
         assert sp.holomorphy_residuals(log_closed, where) < 1e-7
-        numeric = sp.ProfileFunction(
-            finite_two_slot(), evaluation="quadrature", node_count=200
-        )
+        numeric = QuadratureFunction(finite_two_slot(), 200)
         assert sp.holomorphy_residuals(numeric, where) < 1e-6
 
     def test_holomorphy_residuals_flag_non_holomorphic_functions(self):
