@@ -577,7 +577,7 @@ def _check_pw_m_independence_spectral(cfg: SuiteConfig, rng) -> CheckData:
         rhs = kr.kernel_eval(kid, base, base).real
         rows.append((_rel(lhs, rhs), lhs, rhs))
     worst, lhs, rhs = _worst_case(rows)
-    return CheckData(lhs, rhs, worst, 1e-10, rules="weighted spectral quadrature")
+    return CheckData(lhs, rhs, worst, 1e-10, rules="closed-form Laplace pieces; node doubling only for the logarithmic family")
 
 
 def _check_pw_endpoint_identity(cfg: SuiteConfig, rng) -> CheckData:
@@ -646,7 +646,7 @@ def _check_kernels_reproducing_spectral(cfg: SuiteConfig, rng) -> CheckData:
         kr.reproducing_check(kid, zeta, omega, method="spectral")
         for kid in _spectral_check_ids(cfg)
     )
-    return CheckData(worst, 0.0, worst, 1e-10, rules="weighted spectral quadrature")
+    return CheckData(worst, 0.0, worst, 1e-10, rules="closed-form Laplace pieces; node doubling only for the logarithmic family")
 
 
 def _check_kernels_reproducing_quadrature(cfg: SuiteConfig, rng) -> CheckData:
@@ -742,7 +742,7 @@ def _check_dirichlet_reproducing_spectral(cfg: SuiteConfig, rng) -> CheckData:
         kr.reproducing_check(kr.DirichletLog(m, dotted=dotted), zeta, omega)
         for dotted in (False, True)
     )
-    return CheckData(worst, 0.0, worst, 1e-10, rules="weighted spectral quadrature")
+    return CheckData(worst, 0.0, worst, 1e-10, rules="logarithmic family: half-line rule with node doubling")
 
 
 def _check_dirichlet_reproducing_quadrature(cfg: SuiteConfig, rng) -> CheckData:

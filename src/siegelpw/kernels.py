@@ -372,13 +372,13 @@ def reproducing_check(
     *,
     method: str = "spectral",
     rules: sp.ChartNormRules | None = None,
-    node_count: int | None = None,
 ) -> float:
     """Relative error of the reproducing identity
     ``<K(., omega0), K(., zeta)> = K(zeta, omega0)`` in the kernel's space.
 
     ``method='spectral'`` pairs the two slice transforms on the spectral
-    side; ``method='quadrature'`` takes the chart-quadrature inner product
+    side (closed-form Laplace pieces; node doubling only for the logarithmic
+    family); ``method='quadrature'`` takes the chart-quadrature inner product
     (``rules`` defaults to :data:`KERNEL_QUADRATURE_RULES`).
     """
     if isinstance(kid, BallDirichlet):
@@ -393,13 +393,9 @@ def reproducing_check(
     if method == "spectral":
         weight = sp.spectral_weight(kid, n)
         paley = sp.norm_identity_constant(kid, n).value
-        inner = sp.l2nu_inner_product(
-            kernel_profile(kid, omega0),
-            kernel_profile(kid, zeta),
-            weight,
-            node_count=node_count,
+        value = paley * sp.l2nu_inner_product(
+            kernel_profile(kid, omega0), kernel_profile(kid, zeta), weight
         )
-        value = paley * inner
         if isinstance(kid, DirichletLog) and not kid.dotted:
             # Both full logarithmic slices equal one at the distinguished
             # center, adding exactly one center product.

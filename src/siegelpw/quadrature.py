@@ -33,8 +33,6 @@ from scipy.linalg import eigh_tridiagonal
 from .errors import DivergentIntegralError, InvalidParameterError
 
 __all__ = [
-    "QuadratureTolerances",
-    "DEFAULT_TOLERANCES",
     "HalfLineRule",
     "gauss_laguerre",
     "GaussianRule",
@@ -50,17 +48,6 @@ __all__ = [
     "integrate_box",
     "monte_carlo",
 ]
-
-
-@dataclass(frozen=True)
-class QuadratureTolerances:
-    """Default accuracy targets: tight for 1-D Gauss rules, looser for tensor grids."""
-
-    one_dimensional: float = 1e-10
-    tensor: float = 1e-6
-
-
-DEFAULT_TOLERANCES = QuadratureTolerances()
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ each updates the height without a subtraction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,8 +41,17 @@ def _as_complex_vector(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128)
     if arr.ndim != 1:
         raise InvalidParameterError(f"{name} must be a 1-d complex vector")
+    if not np.isfinite(arr).all():
+        raise InvalidParameterError(f"{name} must be finite, got {arr}")
     arr.setflags(write=False)
     return arr
+
+
+def _finite(value, name: str) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise InvalidParameterError(f"{name} must be finite, got {value}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,8 +65,8 @@ class SiegelPoint:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "z", _as_complex_vector(self.z, "z"))
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "h", float(self.h))
+        object.__setattr__(self, "t", _finite(self.t, "t"))
+        object.__setattr__(self, "h", _finite(self.h, "h"))
 
     @classmethod
     def from_ambient(cls, zeta_prime, zeta_last) -> "SiegelPoint":
@@ -96,8 +106,8 @@ class HorocyclicCoordinates:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "z", _as_complex_vector(self.z, "z"))
-        object.__setattr__(self, "t", float(self.t))
-        h = float(self.h)
+        object.__setattr__(self, "t", _finite(self.t, "t"))
+        h = _finite(self.h, "h")
         if h < -BOUNDARY_BAND:
             raise InvalidParameterError(f"height must be >= 0, got {h}")
         object.__setattr__(self, "h", max(h, 0.0))

@@ -10,11 +10,10 @@ space as ``f ↦ ⟨f, v(λ)⟩ e_0``, so the field is stored through its vector
   :class:`DirichletKernelProfile`, :class:`FiniteProfile`) and the
   frequency-multiplication operator :func:`spectral_derivative`;
 * weighted spectral norms and pairings (:func:`l2nu_norm_sq`,
-  :func:`l2nu_inner_product`) by half-line quadrature matched to each
-  family's decay;
-* synthesis back to the domain (:func:`synthesize`,
-  :func:`synthesize_dirichlet`), with resolution estimated by node-count
-  doubling;
+  :func:`l2nu_inner_product`) and synthesis back to the domain
+  (:func:`synthesize`, :func:`synthesize_dirichlet`): every frequency
+  integral is a sum of closed-form Laplace pieces; node doubling only for
+  the logarithmic family, whose pieces diverge one by one at frequency 0;
 * one descriptor per holomorphic space (:class:`Hardy`, :class:`Bergman`,
   :class:`WeightedDirichlet`, :class:`DruryArveson`, :class:`Dirichlet`),
   which also names the space's reproducing kernel in
@@ -28,6 +27,7 @@ space as ``f ↦ ⟨f, v(λ)⟩ e_0``, so the field is stored through its vector
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -191,29 +191,25 @@ def _conjugate_p_values(truncation: _fock.FockTruncation, mu, base: SiegelPoint)
 
 
 # --------------------------------------------------------------------------
-# half-line integration engine
+# closed-form half-line integrals
 # --------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _Piece:
-    """One closed-form summand of a half-line integral: the integrand is
-    ``values(mu) * mu^power * e^(-scale*mu)`` with ``values`` bounded and
-    oscillating at the stated frequency."""
+    """One summand ``amp * mu^power * e^(-rate*mu)`` of a half-line integral
+    (``Re rate > 0``); see :func:`_laplace_sum`."""
 
     power: float
-    scale: float
-    frequency: float
-    values: Callable[[np.ndarray], np.ndarray]
+    rate: complex
+    amp: complex
 
 
 def _phase_piece(power: float, amp: complex, point, anchor) -> _Piece:
-    """The piece ``amp * mu^power * e^(-mu * 2q(point, anchor))``: the real
-    part of the pairing is its decay rate, minus the imaginary part its
-    phase."""
+    """The piece ``amp * mu^power * e^(-mu * 2q(point, anchor))``: the rate
+    is twice the pairing."""
     re, im = pairing_parts(point.z, point.t, point.h, anchor)
-    phase = -float(im)
-    return _Piece(power, float(re), abs(phase), lambda mu, a=amp, p=phase: a * np.exp(1j * p * mu))
+    return _Piece(power, complex(re, im), complex(amp))
 
 
 def _check_piece(piece: _Piece) -> None:
@@ -221,46 +217,22 @@ def _check_piece(piece: _Piece) -> None:
         raise DivergentIntegralError(
             f"frequency integral diverges at 0 (power {piece.power} <= -1)"
         )
-    if piece.scale <= 0.0:
+    if piece.rate.real <= 0.0:
         raise DivergentIntegralError(
-            f"frequency integral diverges at infinity (decay rate {piece.scale} <= 0)"
+            f"frequency integral diverges at infinity (decay rate {piece.rate.real} <= 0)"
         )
 
 
-def _pieces_value(pieces: Sequence[_Piece], node_count: int) -> complex:
+def _laplace_sum(pieces: Sequence[_Piece]) -> complex:
+    """Sum of the pieces' integrals over (0, ∞), each in closed form:
+    ``amp * Gamma(p+1) * rate^-(p+1)`` on the principal branch
+    (Gradshteyn–Ryzhik 3.381.4)."""
     total = 0.0 + 0.0j
     for piece in pieces:
-        rule = _quad.gauss_laguerre(piece.power, piece.scale, node_count)
-        total += complex(np.sum(rule.weights * piece.values(rule.nodes)))
-    return total
-
-
-def _auto_node_count(pieces: Sequence[_Piece], base: int) -> int:
-    extra = 0.0
-    for piece in pieces:
-        ratio = piece.frequency / piece.scale
-        extra = max(extra, 6.0 * ratio * (abs(piece.power) + 3.0))
-    return min(3000, base + int(extra))
-
-
-def _resolved_value(
-    pieces: Sequence[_Piece], node_count: int | None, rtol: float, atol: float, base: int = 96
-) -> complex:
-    if not pieces:
-        return 0.0 + 0.0j
-    for piece in pieces:
         _check_piece(piece)
-    count = node_count if node_count is not None else _auto_node_count(pieces, base)
-    if count < 2:
-        raise InvalidParameterError(f"node count must be at least 2, got {count}")
-    coarse = _pieces_value(pieces, count)
-    fine = _pieces_value(pieces, 2 * count)
-    if abs(fine - coarse) > rtol * abs(fine) + atol:
-        raise UnderResolvedError(
-            "frequency quadrature unresolved: node-count doubling moved the value "
-            f"by {abs(fine - coarse):.3e} (|value| ~ {abs(fine):.3e}); raise node_count"
-        )
-    return fine
+        s = piece.power + 1.0
+        total += piece.amp * cmath.exp(math.lgamma(s) - s * cmath.log(piece.rate))
+    return total
 
 
 # --------------------------------------------------------------------------
@@ -320,15 +292,6 @@ class KernelProfile:
         return self.normalization_expression().value
 
     # -- spectral data -----------------------------------------------------
-
-    def hs_pure_terms(self) -> list[tuple[float, float, float]]:
-        c = self.normalization
-        return [(c * c, 2.0 * self.nu + 2.0, 2.0 * self.base.h)]
-
-    def hs_norm_sq_values(self, mu) -> np.ndarray:
-        mu = np.asarray(mu, dtype=float)
-        c = self.normalization
-        return c * c * mu ** (2.0 * self.nu + 2.0) * np.exp(-2.0 * self.base.h * mu)
 
     @property
     def trace_mu_power(self) -> float:
@@ -397,27 +360,6 @@ class DirichletKernelProfile:
         return self.base == base_point(self.n)
 
     # -- spectral data -----------------------------------------------------
-
-    def hs_pure_terms(self) -> None:
-        return None
-
-    @property
-    def _small_mu_vanishing_order(self) -> int:
-        """Order of the zero of the squared vector length's bracket at
-        frequency 0 (1 generically, 2 when the base has no transverse part)."""
-        return 1 if float(np.sum(np.abs(self.base.z) ** 2)) > 0.0 else 2
-
-    @property
-    def hs_decay(self) -> float:
-        return 2.0 * min(self.base.h, 1.0)
-
-    def hs_norm_sq_values(self, mu) -> np.ndarray:
-        mu = np.asarray(mu, dtype=float)
-        center = base_point(self.n)
-        cross = np.exp(-mu * _pairing_form(center.z, center.t, center.h, self.base))
-        bracket = np.exp(-2.0 * self.base.h * mu) - 2.0 * cross.real + np.exp(-2.0 * mu)
-        c = self.normalization
-        return c * c * mu ** (-2.0 * self.n - 2.0) * np.maximum(bracket, 0.0)
 
     @property
     def trace_mu_power(self) -> float:
@@ -495,21 +437,6 @@ class FiniteProfile:
 
     # -- spectral data -----------------------------------------------------
 
-    def hs_pure_terms(self) -> list[tuple[float, float, float]]:
-        return [
-            (abs(term.coefficient) ** 2, 2.0 * term.power, 2.0 * term.decay)
-            for term in self.terms
-        ]
-
-    def hs_norm_sq_values(self, mu) -> np.ndarray:
-        mu = np.asarray(mu, dtype=float)
-        total = np.zeros(mu.shape)
-        for term in self.terms:
-            total = total + abs(term.coefficient) ** 2 * mu ** (2.0 * term.power) * np.exp(
-                -2.0 * term.decay * mu
-            )
-        return total
-
     @property
     def trace_mu_power(self) -> float:
         if not self.terms:
@@ -583,20 +510,6 @@ class DerivedProfile:
     def _sign(self) -> float:
         return -1.0 if self.order % 2 else 1.0
 
-    def hs_pure_terms(self):
-        terms = self.base.hs_pure_terms()
-        if terms is None:
-            return None
-        return [(amp, power + 2.0 * self.order, decay) for amp, power, decay in terms]
-
-    def hs_norm_sq_values(self, mu) -> np.ndarray:
-        mu = np.asarray(mu, dtype=float)
-        return mu ** (2.0 * self.order) * self.base.hs_norm_sq_values(mu)
-
-    @property
-    def hs_decay(self) -> float:
-        return self.base.hs_decay
-
     @property
     def trace_mu_power(self) -> float:
         return self.base.trace_mu_power + self.order
@@ -612,14 +525,8 @@ class DerivedProfile:
         return self.base.synthesis_decay(h)
 
     def synthesis_pieces(self, coords) -> list[_Piece]:
-        sign = self._sign
         return [
-            _Piece(
-                piece.power + self.order,
-                piece.scale,
-                piece.frequency,
-                lambda mu, f=piece.values, s=sign: s * f(mu),
-            )
+            _Piece(piece.power + self.order, piece.rate, self._sign * piece.amp)
             for piece in self.base.synthesis_pieces(coords)
         ]
 
@@ -648,113 +555,54 @@ def spectral_derivative(profile: SpectralProfile, order: int) -> SpectralProfile
 # --------------------------------------------------------------------------
 
 
+#: Node count of the logarithmic family's half-line rule; the value is
+#: checked against the rule with twice as many nodes.
+_HALFLINE_NODES = 160
+#: Relative tolerance of that doubling check, for pairings and for synthesis.
+_PAIRING_RTOL = 1e-9
+_SYNTHESIS_RTOL = 1e-8
+
+
 def _numeric_halfline(
-    values: Callable[[np.ndarray], np.ndarray],
-    scale: float,
-    node_count: int | None,
-    rtol: float,
-    atol: float,
-    base: int = 160,
+    values: Callable[[np.ndarray], np.ndarray], scale: float, rtol: float
 ) -> complex:
     """Integrate a decaying integrand over (0, ∞) with density-free weights,
-    estimating resolution by node-count doubling."""
+    estimating resolution by node-count doubling.  Only the logarithmic
+    family comes here: its pieces diverge one by one at frequency 0."""
     if scale <= 0.0:
         raise DivergentIntegralError(
             f"frequency integral diverges at infinity (decay rate {scale} <= 0)"
         )
-    count = node_count if node_count is not None else base
 
     def run(k: int) -> complex:
         rule = _quad.gauss_laguerre(0.0, scale, k)
         return complex(np.sum(rule.plain_weights() * values(rule.nodes)))
 
-    coarse = run(count)
-    fine = run(2 * count)
-    if abs(fine - coarse) > rtol * abs(fine) + atol:
+    coarse = run(_HALFLINE_NODES)
+    fine = run(2 * _HALFLINE_NODES)
+    if abs(fine - coarse) > rtol * abs(fine):
         raise UnderResolvedError(
             "frequency quadrature unresolved: node-count doubling moved the value "
-            f"by {abs(fine - coarse):.3e} (|value| ~ {abs(fine):.3e}); raise node_count"
+            f"by {abs(fine - coarse):.3e} (|value| ~ {abs(fine):.3e})"
         )
     return fine
 
 
-def l2nu_norm_sq(
-    profile: SpectralProfile,
-    nu: float,
-    *,
-    node_count: int | None = None,
-    rtol: float = 1e-9,
-    atol: float = 1e-300,
-) -> float:
-    """Squared spectral norm: the frequency integral of the squared vector
-    length against ``mu^(n-nu-1)``, normalized by (2π)^-(n+1).
-
-    Closed-form families with pure power-times-exponential radial parts are
-    integrated by exactly matched Gauss rules; other families use a smooth
-    half-line rule matched to their decay.
+def l2nu_norm_sq(profile: SpectralProfile, nu: float) -> float:
+    """Squared spectral norm: the diagonal of :func:`l2nu_inner_product`, the
+    frequency integral of the squared vector length against ``mu^(n-nu-1)``,
+    normalized by (2π)^-(n+1).  Closed-form Laplace pieces; node doubling
+    only for the logarithmic family.
     """
-    n = profile.n
-    weight_power = n - nu - 1.0
-    pure = profile.hs_pure_terms()
-    if pure is not None:
-        total = 0.0
-        for amplitude, power, decay in pure:
-            exponent = power + weight_power
-            if exponent <= -1.0:
-                raise DivergentIntegralError(
-                    f"spectral norm diverges at frequency 0 (exponent {exponent} <= -1)"
-                )
-            if decay <= 0.0:
-                raise DivergentIntegralError(
-                    f"spectral norm diverges at infinity (decay {decay} <= 0)"
-                )
-            count = node_count if node_count is not None else 96
-            rule = _quad.gauss_laguerre(exponent, decay, count)
-            mass = float(np.sum(rule.weights))
-            fine = float(np.sum(_quad.gauss_laguerre(exponent, decay, 2 * count).weights))
-            if abs(fine - mass) > rtol * abs(fine) + atol:
-                raise UnderResolvedError("frequency quadrature unresolved on a pure term")
-            total += amplitude * fine
-        return _plancherel(n) * total
-    if isinstance(profile, DirichletKernelProfile) and profile.is_zero:
-        return 0.0
-    # numeric path (logarithmic-kernel family): the bracket vanishes at
-    # frequency 0, taming the negative power; check the combined exponent.
-    if isinstance(profile, DirichletKernelProfile):
-        vanish = profile._small_mu_vanishing_order
-        if weight_power - 2.0 * n - 2.0 + vanish <= -1.0:
-            raise DivergentIntegralError(
-                f"spectral norm diverges at frequency 0 for weight {nu}"
-            )
-        decay = profile.hs_decay
-    elif isinstance(profile, DerivedProfile) and isinstance(profile.base, DirichletKernelProfile):
-        inner = profile.base
-        if inner.is_zero:
-            return 0.0
-        vanish = inner._small_mu_vanishing_order
-        if weight_power + 2.0 * profile.order - 2.0 * n - 2.0 + vanish <= -1.0:
-            raise DivergentIntegralError(
-                f"spectral norm diverges at frequency 0 for weight {nu}"
-            )
-        decay = inner.hs_decay
-    else:
-        raise InvalidParameterError(
-            f"no spectral-norm path for profile type {type(profile).__name__}"
-        )
-    value = _numeric_halfline(
-        lambda mu: profile.hs_norm_sq_values(mu) * mu**weight_power,
-        decay,
-        node_count,
-        rtol,
-        atol,
-    )
-    return _plancherel(n) * float(value.real)
+    return float(l2nu_inner_product(profile, profile, nu).real)
 
 
 def _unwrap_derived(profile: SpectralProfile) -> tuple[SpectralProfile, int]:
-    if isinstance(profile, DerivedProfile):
-        return profile.base, profile.order
-    return profile, 0
+    """The innermost base field and the total derivative order."""
+    order = 0
+    while isinstance(profile, DerivedProfile):
+        profile, order = profile.base, order + profile.order
+    return profile, order
 
 
 def _cross_pieces(f: SpectralProfile, g: SpectralProfile) -> list[_Piece]:
@@ -777,21 +625,15 @@ def _cross_pieces(f: SpectralProfile, g: SpectralProfile) -> list[_Piece]:
         ]
     if isinstance(f, FiniteProfile) and isinstance(g, FiniteProfile):
         f_map = {term.alpha: term for term in f.terms}
-        pieces = []
-        for term in g.terms:
-            other = f_map.get(term.alpha)
-            if other is None:
-                continue
-            amp = term.coefficient * np.conj(other.coefficient)
-            pieces.append(
-                _Piece(
-                    term.power + other.power,
-                    term.decay + other.decay,
-                    0.0,
-                    lambda mu, a=amp: np.full(mu.shape, a),
-                )
+        return [
+            _Piece(
+                term.power + other.power,
+                complex(term.decay + other.decay),
+                term.coefficient * other.coefficient.conjugate(),
             )
-        return pieces
+            for term in g.terms
+            if (other := f_map.get(term.alpha)) is not None
+        ]
     raise InvalidParameterError(
         f"no closed pairing for profile types {type(f).__name__} x {type(g).__name__}"
     )
@@ -806,19 +648,12 @@ def _dirichlet_cross_values(f: DirichletKernelProfile, g: DirichletKernelProfile
     return f.normalization * g.normalization * mu ** (-2.0 * f.n - 2.0) * bracket
 
 
-def l2nu_inner_product(
-    f_profile: SpectralProfile,
-    g_profile: SpectralProfile,
-    nu: float,
-    *,
-    node_count: int | None = None,
-    rtol: float = 1e-9,
-    atol: float = 1e-300,
-) -> complex:
+def l2nu_inner_product(f_profile: SpectralProfile, g_profile: SpectralProfile, nu: float) -> complex:
     """Weighted spectral pairing of two fields, oriented so that it matches
     the holomorphic-space inner product ⟨F, G⟩ of the syntheses of
     ``f_profile`` and ``g_profile`` (first slot linear, second conjugated),
-    up to the space's norm-identity constant.
+    up to the space's norm-identity constant.  Closed-form Laplace pieces;
+    node doubling only for the logarithmic family.
     """
     f_base, f_order = _unwrap_derived(f_profile)
     g_base, g_order = _unwrap_derived(g_profile)
@@ -831,8 +666,11 @@ def l2nu_inner_product(
     if isinstance(f_base, DirichletKernelProfile) and isinstance(g_base, DirichletKernelProfile):
         if f_base.is_zero or g_base.is_zero:
             return 0.0 + 0.0j
-        exponent_at_zero = weight_power + extra - 2.0 * n - 2.0 + 1.0
-        if exponent_at_zero <= -1.0:
+        # The bracket of four exponentials vanishes at frequency 0 to first
+        # order in the bases' lateral product, and to second order when that
+        # product is zero.
+        vanish = 2.0 if complex(np.vdot(g_base.base.z, f_base.base.z)) == 0.0 else 1.0
+        if weight_power + extra - 2.0 * n - 2.0 + vanish <= -1.0:
             raise DivergentIntegralError(
                 f"spectral pairing diverges at frequency 0 for weight {nu}"
             )
@@ -847,27 +685,16 @@ def l2nu_inner_product(
             * mu ** (weight_power + extra)
             * _dirichlet_cross_values(f_base, g_base, mu),
             decay,
-            node_count,
-            rtol,
-            atol,
+            _PAIRING_RTOL,
         )
         return _plancherel(n) * value
     if isinstance(f_base, FiniteProfile) and isinstance(g_base, KernelProfile):
-        swapped = l2nu_inner_product(
-            g_profile, f_profile, nu, node_count=node_count, rtol=rtol, atol=atol
-        )
-        return complex(np.conj(swapped))
+        return complex(np.conj(l2nu_inner_product(g_profile, f_profile, nu)))
     pieces = [
-        _Piece(
-            piece.power + weight_power + extra,
-            piece.scale,
-            piece.frequency,
-            lambda mu, fval=piece.values, s=sign: s * fval(mu),
-        )
+        _Piece(piece.power + weight_power + extra, piece.rate, sign * piece.amp)
         for piece in _cross_pieces(f_base, g_base)
     ]
-    value = _resolved_value(pieces, node_count, rtol, atol)
-    return _plancherel(n) * value
+    return _plancherel(n) * _laplace_sum(pieces)
 
 
 # --------------------------------------------------------------------------
@@ -875,18 +702,13 @@ def l2nu_inner_product(
 # --------------------------------------------------------------------------
 
 
-def synthesize(
-    profile: SpectralProfile,
-    point: SiegelPoint | HorocyclicCoordinates,
-    *,
-    node_count: int | None = None,
-    rtol: float = 1e-8,
-    atol: float = 1e-300,
-) -> complex:
+def synthesize(profile: SpectralProfile, point: SiegelPoint | HorocyclicCoordinates) -> complex:
     """Value at an interior point of the holomorphic function carried by the
     field: the frequency integral of ``e^(-h*mu)`` times the field's trace
     against the adjoint representation operator, against ``mu^n``, normalized
-    by (2π)^-(n+1).  Resolution is estimated by node-count doubling.
+    by (2π)^-(n+1).  Closed-form Laplace pieces; node doubling only for the
+    logarithmic family, whose integral diverges at frequency 0 here and goes
+    to :func:`synthesize_dirichlet`.
     """
     coords = _interior(point, "synthesis")
     n = profile.n
@@ -895,18 +717,13 @@ def synthesize(
             "synthesis integral diverges at frequency 0; "
             "for the logarithmic-kernel family use synthesize_dirichlet"
         )
-    pieces = profile.synthesis_pieces(coords)
-    return _plancherel(n) * _resolved_value(pieces, node_count, rtol, atol)
+    return _plancherel(n) * _laplace_sum(profile.synthesis_pieces(coords))
 
 
 def synthesize_dirichlet(
     profile: SpectralProfile,
     point: SiegelPoint | HorocyclicCoordinates,
     constant: complex = 0.0,
-    *,
-    node_count: int | None = None,
-    rtol: float = 1e-8,
-    atol: float = 1e-300,
 ) -> complex:
     """Center-subtracted synthesis plus an affine constant.
 
@@ -914,7 +731,8 @@ def synthesize_dirichlet(
     trace at the target point and at the distinguished center, which cancels
     the frequency-zero divergence of the logarithmic-kernel family; at the
     center itself the integrand vanishes identically and the constant is
-    returned exactly.
+    returned exactly.  The integral is a half-line rule checked by node
+    doubling, the one numeric frequency integral of the module.
     """
     coords = _interior(point, "synthesis")
     n = profile.n
@@ -927,8 +745,7 @@ def synthesize_dirichlet(
         at_center = np.exp(-mu) * profile.trace_values(mu, center_z, 0.0)
         return mu**n * (at_point - at_center)
 
-    value = _numeric_halfline(integrand, scale, node_count, rtol, atol)
-    return _plancherel(n) * value + constant
+    return _plancherel(n) * _numeric_halfline(integrand, scale, _SYNTHESIS_RTOL) + constant
 
 
 # --------------------------------------------------------------------------

@@ -303,8 +303,3 @@ class TestMonteCarlo:
             seed=1,
         )
         assert abs(est - 4.0) < 1e-12 and err < 1e-12
-
-
-def test_default_tolerances():
-    assert q.DEFAULT_TOLERANCES.one_dimensional == 1e-10
-    assert q.DEFAULT_TOLERANCES.tensor == 1e-6

@@ -144,6 +144,17 @@ class TestChart:
         with pytest.raises(InvalidParameterError):
             sg.HorocyclicCoordinates(z=np.zeros(1), t=0.0, h=-1.0)
 
+    @pytest.mark.parametrize("cls", [sg.SiegelPoint, sg.HorocyclicCoordinates])
+    @pytest.mark.parametrize("slot", ["z", "t", "h"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_coordinates(self, cls, slot, bad):
+        # A NaN height would otherwise classify as 'boundary' and slip
+        # through max(h, 0.0) in the chart.
+        coords = {"z": np.array([0.3 + 0.1j]), "t": 0.5, "h": 1.0}
+        coords[slot] = np.array([complex(bad, 0.0)]) if slot == "z" else bad
+        with pytest.raises(InvalidParameterError):
+            cls(**coords)
+
 
 class TestCayleyMap:
     def test_center_maps_to_base_point(self):

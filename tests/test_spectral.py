@@ -21,13 +21,10 @@ from hypothesis import strategies as st
 import siegelpw.bargmann as bg
 import siegelpw.fock as fk
 import siegelpw.heisenberg as hg
+import siegelpw.kernels as kr
 import siegelpw.quadrature as quad
 import siegelpw.spectral as sp
-from siegelpw.errors import (
-    DivergentIntegralError,
-    InvalidParameterError,
-    UnderResolvedError,
-)
+from siegelpw.errors import DivergentIntegralError, InvalidParameterError
 from siegelpw.gammaexpr import paley_wiener_constant
 from siegelpw.siegel import (
     Dilation,
@@ -161,6 +158,44 @@ def finite_two_slot():
     )
 
 
+def pairing_diagonal_density(profile, mu):
+    """The node-wise pairing of a field with itself, from the pieces the
+    pairing integrates (or the logarithmic family's four-exponential
+    bracket), evaluated at the frequencies ``mu``."""
+    base, order = sp._unwrap_derived(profile)
+    if isinstance(base, sp.DirichletKernelProfile):
+        values = sp._dirichlet_cross_values(base, base, mu)
+    else:
+        values = sum(
+            piece.amp * mu**piece.power * np.exp(-piece.rate * mu)
+            for piece in sp._cross_pieces(base, base)
+        )
+    return mu ** (2 * order) * values.real
+
+
+class TestClosedFormPieces:
+    @pytest.mark.parametrize("power", [-0.5, 0.0, 2.5])
+    @pytest.mark.parametrize("ratio", [0.0, 1.0, -2.5, 5.0])
+    def test_piece_matches_gauss_laguerre(self, power, ratio):
+        # An oscillating piece amp * mu^p * e^(-r mu) against a Gauss rule
+        # for mu^p e^(-Re(r) mu) with many nodes and the phase as integrand.
+        # The rule's rounding scales with its mass |amp| * sum(w), which
+        # exceeds the oscillating value by up to 300 times here, so the
+        # bound is relative to that mass.
+        rate = 0.7 * complex(1.0, ratio)
+        amp = 0.3 - 1.1j
+        rule = quad.gauss_laguerre(power, rate.real, 1200)
+        reference = amp * complex(np.sum(rule.weights * np.exp(-1j * rate.imag * rule.nodes)))
+        value = sp._laplace_sum([sp._Piece(power, rate, amp)])
+        assert abs(value - reference) <= 1e-12 * abs(amp) * float(np.sum(rule.weights))
+
+    def test_divergent_pieces_are_rejected(self):
+        with pytest.raises(DivergentIntegralError):
+            sp._laplace_sum([sp._Piece(-1.0, 1.0 + 0.0j, 1.0 + 0.0j)])
+        with pytest.raises(DivergentIntegralError):
+            sp._laplace_sum([sp._Piece(0.5, 0.0 + 2.0j, 1.0 + 0.0j)])
+
+
 class TestSpectralNorm:
     def test_single_slot_exponential_matches_gamma_values(self):
         # One slot with radial part e^(-mu): the weighted norm collapses to
@@ -278,7 +313,7 @@ class TestCoefficientRows:
         mu = np.array([0.3, 1.0, 3.7])
         rows = profile.coefficient_values(trunc, mu)
         stacked = np.sum(np.abs(rows) ** 2, axis=0)
-        expected = profile.hs_norm_sq_values(mu)
+        expected = pairing_diagonal_density(profile, mu)
         # Truncation at degree 30 leaves a tail below machine precision for
         # these base offsets, so the row sums must reproduce the density.
         assert np.max(np.abs(stacked - expected)) < 1e-10 * np.max(expected)
@@ -412,10 +447,16 @@ class TestSynthesis:
         with pytest.raises(DivergentIntegralError):
             sp.synthesize(heavy, chart([0.1], 0.0, 1.0))
 
-    def test_synthesis_under_resolution_detected(self):
-        profile = sp.KernelProfile(1, 0.0, GENERIC_BASE_1)
-        with pytest.raises(UnderResolvedError):
-            sp.synthesize(profile, chart([0.2], 12.0, 0.6), node_count=8)
+    @pytest.mark.parametrize("separation", [12.0, 200.0])
+    def test_far_separated_points_match_the_kernel(self, separation):
+        # The frequency integrand oscillates ever faster as the points move
+        # apart in t; the closed-form pieces do not care.
+        kid = kr.Bergman(0.0)
+        far = point([0.3 + 0.1j], -0.2 + separation, 0.8)
+        expected = kr.kernel_eval(kid, far, GENERIC_BASE_1)
+        value = sp.synthesize(kr.kernel_profile(kid, GENERIC_BASE_1), far)
+        assert abs(value - expected) <= 1e-13 * abs(expected)
+        assert kr.reproducing_check(kid, far, GENERIC_BASE_1, method="spectral") <= 1e-13
 
 
 class TestPairings:
@@ -474,6 +515,21 @@ class TestPairings:
             sp.spectral_derivative(f, 1), sp.spectral_derivative(g, 1), -1.0
         )
         assert shifted == plain
+
+    def test_axis_base_log_pair_below_the_generic_window(self):
+        # Bases without a lateral part make the bracket vanish to second
+        # order at frequency 0, so weight -2 converges (n = 1) for the pair
+        # as it does for each norm.
+        f = sp.DirichletKernelProfile(1, 2, point([0.0], 0.0, 1.7))
+        g = sp.DirichletKernelProfile(1, 2, point([0.0], 0.8, 0.6))
+        fg = sp.l2nu_inner_product(f, g, -2.0)
+        gf = sp.l2nu_inner_product(g, f, -2.0)
+        ff = sp.l2nu_inner_product(f, f, -2.0)
+        gg = sp.l2nu_inner_product(g, g, -2.0)
+        assert abs(ff - sp.l2nu_norm_sq(f, -2.0)) <= 1e-12 * abs(ff)
+        assert abs(gg - sp.l2nu_norm_sq(g, -2.0)) <= 1e-12 * abs(gg)
+        assert abs(gf - np.conj(fg)) <= 1e-12 * abs(fg)
+        assert abs(fg) ** 2 <= ff.real * gg.real
 
     def test_log_pair_against_centered_field_vanishes(self):
         f = sp.DirichletKernelProfile(1, 2, point([0.3], 0.5, 1.2))
