@@ -121,18 +121,24 @@ def _check_rng(cfg: SuiteConfig, check_id: str) -> np.random.Generator:
     )
 
 
-def _chart_rules(cfg: SuiteConfig, reinforced: bool = False) -> sp.ChartNormRules:
-    if cfg.fast or cfg.n >= 2:
-        return sp.ChartNormRules.smoke()
-    return kr.KERNEL_QUADRATURE_RULES if reinforced else sp.ChartNormRules()
+def _chart_rules(
+    cfg: SuiteConfig, functions: Sequence, reinforced: bool = False
+) -> tuple[sp.ChartNormRules, str]:
+    """The layout of a chart row over ``functions`` and the label of the axes
+    a pass uses: ``ChartNormRules()``, or ``KERNEL_QUADRATURE_RULES`` for
+    products of slices (``reinforced``).
 
-
-def _rules_label(rules: sp.ChartNormRules) -> str:
-    return (
-        f"chart radial {rules.radial_panels}x{rules.radial_order}, "
-        f"angles {rules.angle_count}, t {rules.t_panels}x{rules.t_order}, "
-        f"h-tail {rules.h_tail_panels}x{rules.h_tail_order}"
-    )
+    ``--fast`` takes ``ChartNormRules.smoke()``.  So does a row at n >= 2
+    whose reduced grid keeps an angle axis (a 5-D or 6-D grid); a row whose
+    grid reduces to radius, t and height costs the same at every n and keeps
+    the n = 1 layout.
+    """
+    rules = kr.KERNEL_QUADRATURE_RULES if reinforced else sp.ChartNormRules()
+    layout = sp._chart_layout(functions, cfg.n, None, rules)
+    if cfg.fast or (cfg.n >= 2 and layout.polar):
+        rules = sp.ChartNormRules.smoke()
+        layout = sp._chart_layout(functions, cfg.n, None, rules)
+    return rules, layout.label
 
 
 def _rand_interior(rng, n: int, spread: float = 0.7, h_lo: float = 0.3, h_hi: float = 2.0) -> SiegelPoint:
@@ -514,19 +520,21 @@ def _check_bargmann_projection_tail(cfg: SuiteConfig, rng) -> CheckData:
 
 
 def _chart_identity(
-    profile: sp.SpectralProfile, tag: sp.SpaceTag, rules: sp.ChartNormRules
+    profile: sp.SpectralProfile, tag: sp.SpaceTag, cfg: SuiteConfig, reinforced: bool = False
 ) -> CheckData:
     """Chart norm of the profile's synthesis against the tag's constant times
     its weighted spectral norm."""
-    volume = sp.space_norm_sq(sp.ProfileFunction(profile), tag, rules)
+    F = sp.ProfileFunction(profile)
+    rules, label = _chart_rules(cfg, [F], reinforced)
+    volume = sp.space_norm_sq(F, tag, rules)
     weight = sp.spectral_weight(tag, profile.n)
     spectral = sp.norm_identity_constant(tag, profile.n).value * sp.l2nu_norm_sq(profile, weight)
-    return CheckData(volume, spectral, _rel(volume, spectral), 1e-3, 2e-2, _rules_label(rules))
+    return CheckData(volume, spectral, _rel(volume, spectral), 1e-3, 2e-2, label)
 
 
 def _check_pw_volume_identity(cfg: SuiteConfig, rng) -> CheckData:
     base = _rand_interior(rng, cfg.n, spread=0.4)
-    return _chart_identity(sp.KernelProfile(cfg.n, cfg.nu, base), sp.Bergman(cfg.nu), _chart_rules(cfg))
+    return _chart_identity(sp.KernelProfile(cfg.n, cfg.nu, base), sp.Bergman(cfg.nu), cfg)
 
 
 def _check_pw_volume_identity_finite(cfg: SuiteConfig, rng) -> CheckData:
@@ -534,22 +542,22 @@ def _check_pw_volume_identity_finite(cfg: SuiteConfig, rng) -> CheckData:
         sp.FiniteTerm((0,) * cfg.n, 1.0, 0.0, 1.0),
         sp.FiniteTerm((2,) + (0,) * (cfg.n - 1), -0.2 + 0.5j, 0.5, 0.7),
     )
-    return _chart_identity(sp.FiniteProfile(cfg.n, terms), sp.Bergman(cfg.nu), _chart_rules(cfg))
+    return _chart_identity(sp.FiniteProfile(cfg.n, terms), sp.Bergman(cfg.nu), cfg)
 
 
 def _check_pw_derivative_identity(cfg: SuiteConfig, rng) -> CheckData:
     nu = -1.5 if cfg.n == 1 else -2.5
     base = _rand_interior(rng, cfg.n, spread=0.3)
     profile = sp.KernelProfile(cfg.n, nu, base, 1)
-    return _chart_identity(profile, sp.WeightedDirichlet(nu, 1), _chart_rules(cfg, reinforced=True))
+    return _chart_identity(profile, sp.WeightedDirichlet(nu, 1), cfg, reinforced=True)
 
 
 def _check_pw_m_independence_quadrature(cfg: SuiteConfig, rng) -> CheckData:
-    rules = _chart_rules(cfg, reinforced=True)
     nu = -1.5 if cfg.n == 1 else -2.5
     base = _rand_interior(rng, cfg.n, spread=0.3)
     profile = sp.KernelProfile(cfg.n, nu, base, 1)
     F = sp.ProfileFunction(profile)
+    rules, label = _chart_rules(cfg, [F], reinforced=True)
     spectral = sp.l2nu_norm_sq(profile, nu)
     cases = []
     for m in (1, 2):
@@ -557,7 +565,7 @@ def _check_pw_m_independence_quadrature(cfg: SuiteConfig, rng) -> CheckData:
         constant = sp.norm_identity_constant(sp.WeightedDirichlet(nu, m), cfg.n).value
         cases.append((_rel(volume, constant * spectral), volume, constant * spectral))
     worst, volume, expected = _worst_case(cases)
-    return CheckData(volume, expected, worst, 1e-3, 2e-2, _rules_label(rules))
+    return CheckData(volume, expected, worst, 1e-3, 2e-2, label)
 
 
 def _check_pw_m_independence_spectral(cfg: SuiteConfig, rng) -> CheckData:
@@ -584,7 +592,7 @@ def _check_pw_endpoint_identity(cfg: SuiteConfig, rng) -> CheckData:
     m = max(cfg.m, 2) if cfg.n == 1 else 2
     base = _rand_interior(rng, cfg.n, spread=0.3)
     profile = sp.DirichletKernelProfile(cfg.n, m, base)
-    return _chart_identity(profile, sp.Dirichlet(m), _chart_rules(cfg, reinforced=True))
+    return _chart_identity(profile, sp.Dirichlet(m), cfg, reinforced=True)
 
 
 def _check_pw_endpoint_center(cfg: SuiteConfig, rng) -> CheckData:
@@ -598,18 +606,16 @@ def _check_pw_endpoint_center(cfg: SuiteConfig, rng) -> CheckData:
 
 
 def _check_pw_hardy_slices(cfg: SuiteConfig, rng) -> CheckData:
-    rules = _chart_rules(cfg)
     base = _rand_interior(rng, cfg.n, spread=0.3, h_lo=0.7, h_hi=1.3)
     profile = sp.KernelProfile(cfg.n, -1.0, base)
     F = sp.ProfileFunction(profile)
+    rules, label = _chart_rules(cfg, [F])
     values = [value for _, value in sp.hardy_slice_norms(F, rules)]
     if not all(b > a for a, b in zip(values, values[1:])):
-        return CheckData(values[-1], values[0], math.inf, 2e-4, 5e-3, _rules_label(rules))
+        return CheckData(values[-1], values[0], math.inf, 2e-4, 5e-3, label)
     limit = sp._richardson_limit(values)
     spectral = sp.l2nu_norm_sq(profile, -1.0)
-    return CheckData(
-        limit, spectral, _rel(limit, spectral), 2e-4, 5e-3, _rules_label(rules)
-    )
+    return CheckData(limit, spectral, _rel(limit, spectral), 2e-4, 5e-3, label)
 
 
 def _check_pw_cr_residuals(cfg: SuiteConfig, rng) -> CheckData:
@@ -650,13 +656,13 @@ def _check_kernels_reproducing_spectral(cfg: SuiteConfig, rng) -> CheckData:
 
 
 def _check_kernels_reproducing_quadrature(cfg: SuiteConfig, rng) -> CheckData:
-    rules = _chart_rules(cfg, reinforced=True)
+    kid = kr.Bergman(cfg.nu)
     zeta, omega = _rand_interior(rng, cfg.n), _rand_interior(rng, cfg.n)
-    err = kr.reproducing_check(
-        kr.Bergman(cfg.nu), zeta, omega, method="quadrature", rules=rules
-    )
-    expected = kr.kernel_eval(kr.Bergman(cfg.nu), zeta, omega)
-    return CheckData(expected, expected, err, 1e-4, 5e-3, _rules_label(rules))
+    slices = [kr.kernel_slice(kid, omega), kr.kernel_slice(kid, zeta)]
+    rules, label = _chart_rules(cfg, slices, reinforced=True)
+    err = kr.reproducing_check(kid, zeta, omega, method="quadrature", rules=rules)
+    expected = kr.kernel_eval(kid, zeta, omega)
+    return CheckData(expected, expected, err, 1e-4, 5e-3, label)
 
 
 def _check_kernels_mobius(cfg: SuiteConfig, rng) -> CheckData:
@@ -746,35 +752,33 @@ def _check_dirichlet_reproducing_spectral(cfg: SuiteConfig, rng) -> CheckData:
 
 
 def _check_dirichlet_reproducing_quadrature(cfg: SuiteConfig, rng) -> CheckData:
-    rules = _chart_rules(cfg, reinforced=True)
-    m = cfg.n + 1
+    kid = kr.DirichletLog(cfg.n + 1)
     zeta, omega = _rand_interior(rng, cfg.n), _rand_interior(rng, cfg.n)
-    err = kr.reproducing_check(
-        kr.DirichletLog(m), zeta, omega, method="quadrature", rules=rules
-    )
-    expected = kr.kernel_eval(kr.DirichletLog(m), zeta, omega)
-    return CheckData(expected, expected, err, 1e-4, 5e-3, _rules_label(rules))
+    slices = [kr.kernel_slice(kid, omega), kr.kernel_slice(kid, zeta)]
+    rules, label = _chart_rules(cfg, slices, reinforced=True)
+    err = kr.reproducing_check(kid, zeta, omega, method="quadrature", rules=rules)
+    expected = kr.kernel_eval(kid, zeta, omega)
+    return CheckData(expected, expected, err, 1e-4, 5e-3, label)
 
 
 def _check_dirichlet_constant_slice(cfg: SuiteConfig, rng) -> CheckData:
-    rules = _chart_rules(cfg, reinforced=True)
     m = cfg.n + 1
     zeta = _rand_interior(rng, cfg.n)
     value = 0.75 - 0.4j
-    constant_fn = sp.ProfileFunction(sp.FiniteProfile(cfg.n, ()), value)
-    got = kr.space_inner_product(
-        constant_fn, kr.kernel_slice(kr.DirichletLog(m), zeta), sp.Dirichlet(m), rules
-    )
-    return CheckData(got, value, abs(got - value), 1e-10, 1e-8, _rules_label(rules))
+    functions = [sp.ProfileFunction(sp.FiniteProfile(cfg.n, ()), value), kr.kernel_slice(kr.DirichletLog(m), zeta)]
+    rules, label = _chart_rules(cfg, functions, reinforced=True)
+    got = kr.space_inner_product(*functions, sp.Dirichlet(m), rules)
+    return CheckData(got, value, abs(got - value), 1e-10, 1e-8, label)
 
 
 def _check_dirichlet_gram_identity(cfg: SuiteConfig, rng) -> CheckData:
-    rules = _chart_rules(cfg, reinforced=True)
     m = cfg.n + 1
     points = [_rand_interior(rng, cfg.n) for _ in range(3)]
     coeffs = [1.0, -0.5 + 0.3j, 0.25j]
+    slices = [kr.kernel_slice(kr.DirichletLog(m, dotted=True), p) for p in points]
+    rules, label = _chart_rules(cfg, slices, reinforced=True)
     err = kr.dotted_gram_identity_check(points, coeffs, m=m, rules=rules)
-    return CheckData(err, 0.0, err, 1e-3, 2e-2, _rules_label(rules))
+    return CheckData(err, 0.0, err, 1e-3, 2e-2, label)
 
 
 def _check_dirichlet_mobius(cfg: SuiteConfig, rng) -> CheckData:
@@ -1235,7 +1239,7 @@ def _cmd_norm(args: argparse.Namespace) -> int:
                     "lhs": volume,
                     "rhs": spectral,
                     "rel_error": _rel(volume, spectral),
-                    "rules": _rules_label(rules),
+                    "rules": sp._chart_layout([F], n, None, rules).label,
                 }
             )
     _emit(doc, args.out)

@@ -339,6 +339,12 @@ class FunctionCombination:
     def n(self) -> int:
         return self.terms[0][1].n
 
+    @property
+    def chart_anchors(self) -> sp.ChartAnchors | None:
+        """The union of the terms' anchors, with the largest degree per slot;
+        ``None`` if a term declares none."""
+        return sp._gram_anchors([f for _, f in self.terms])
+
     def chart_values(self, z_components, t, h):
         return sp._combination_values(self.terms, z_components, t, h)
 

@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidParameterError
-from .heisenberg import HeisenbergElement, mul
+from .heisenberg import HeisenbergElement
 
 # Points with |rho| below this band are treated as boundary points, so
 # round-trip noise cannot flip membership verdicts.
@@ -193,6 +193,29 @@ def pairing_parts(z_components, t, h, anchor):
     return re, -((t - anchor.t) + 0.5 * cross.imag)
 
 
+def move_parts(phi, z_components, t):
+    """A translation, a rotation or a composition of them acting on chart
+    arrays: ``z_components`` holds one entry per lateral slot, and the
+    entries and ``t`` broadcast as arrays.  These maps fix the height and
+    have unit Jacobian.
+
+    The translation by ``[a, s]`` is the group law of
+    :func:`~siegelpw.heisenberg.mul` on the right: ``z -> z + a`` and
+    ``t -> t + s - Im(z . conj(a))/2``; a rotation is ``z -> U z``.
+    """
+    if isinstance(phi, HeisenbergTranslation):
+        shift = phi.element.z.tolist()
+        twist = sum(zj * aj.conjugate() for zj, aj in zip(z_components, shift))
+        return [zj + aj for zj, aj in zip(z_components, shift)], t + phi.element.t - 0.5 * np.imag(twist)
+    if isinstance(phi, Unitary):
+        return [sum(u * zj for u, zj in zip(row, z_components)) for row in phi.matrix.tolist()], t
+    if isinstance(phi, Composition):
+        for factor in reversed(phi.maps):
+            z_components, t = move_parts(factor, z_components, t)
+        return z_components, t
+    raise InvalidParameterError(f"{type(phi).__name__} does not act on chart arrays")
+
+
 def psi(p: SiegelPoint) -> HorocyclicCoordinates:
     """Chart map of the closed half-space: (z, t, h) = (zeta_prime, Re zeta_last, rho)."""
     if p.h < -BOUNDARY_BAND:
@@ -305,17 +328,16 @@ Automorphism = (
 def apply(phi, p: SiegelPoint) -> SiegelPoint:
     """Apply an automorphism to a point of the closed half-space; each
     generator acts on the chart coordinates and sets the height directly."""
-    if isinstance(phi, HeisenbergTranslation):
-        # Right group translation of the boundary part; the height is unchanged.
-        moved = mul(HeisenbergElement(p.z, p.t), phi.element)
-        return SiegelPoint(moved.z, moved.t, p.h)
+    if isinstance(phi, (HeisenbergTranslation, Unitary)):
+        if isinstance(phi, Unitary) and phi.matrix.shape[0] != p.n:
+            raise InvalidParameterError("unitary dimension mismatch")
+        # One-element arrays take the ufunc loops a chart block takes, so a
+        # point and a grid move to the same bits.
+        z, t = move_parts(phi, [p.z[j : j + 1] for j in range(p.n)], np.array([p.t]))
+        return SiegelPoint(np.concatenate(z), t[0], p.h)
     if isinstance(phi, Dilation):
         d = phi.delta
         return SiegelPoint(d * p.z, d * d * p.t, d * d * p.h)
-    if isinstance(phi, Unitary):
-        if phi.matrix.shape[0] != p.n:
-            raise InvalidParameterError("unitary dimension mismatch")
-        return SiegelPoint(phi.matrix @ p.z, p.t, p.h)
     if isinstance(phi, Inversion):
         zeta_last = p.zeta_last
         if zeta_last == 0:

@@ -20,9 +20,11 @@ space as ``f ↦ ⟨f, v(λ)⟩ e_0``, so the field is stored through its vector
   :mod:`siegelpw.kernels`, with the range checks of its weight and order;
 * holomorphic-space norms and Gram matrices over the domain chart
   (:func:`space_norm_sq`, :func:`space_gram`) by streamed tensor-product
-  quadrature, including the boundary-limit norm via geometrically shrinking
-  height slices and Richardson extrapolation, so both sides of each norm
-  identity can be produced independently and compared.
+  quadrature in the frame of the functions' anchors, on a grid reduced by
+  their rotation symmetry, including the boundary-limit norm via
+  geometrically shrinking height slices and Richardson extrapolation, so
+  both sides of each norm identity can be produced independently and
+  compared.
 """
 
 from __future__ import annotations
@@ -40,10 +42,15 @@ from . import fock as _fock
 from . import quadrature as _quad
 from .errors import DivergentIntegralError, InvalidParameterError, UnderResolvedError
 from .gammaexpr import GammaExpression, paley_wiener_constant
+from .heisenberg import HeisenbergElement
 from .siegel import (
+    Composition,
+    HeisenbergTranslation,
     HorocyclicCoordinates,
     SiegelPoint,
+    Unitary,
     base_point,
+    move_parts,
     pairing_parts,
     point_from_json,
     point_to_json,
@@ -564,18 +571,20 @@ _SYNTHESIS_RTOL = 1e-8
 
 
 def _numeric_halfline(
-    values: Callable[[np.ndarray], np.ndarray], scale: float, rtol: float
+    values: Callable[[np.ndarray], np.ndarray], scale: float, rtol: float, exponent: float = 0.0
 ) -> complex:
     """Integrate a decaying integrand over (0, ∞) with density-free weights,
     estimating resolution by node-count doubling.  Only the logarithmic
-    family comes here: its pieces diverge one by one at frequency 0."""
+    family comes here: its pieces diverge one by one at frequency 0.  An
+    integrand that behaves like ``mu^exponent`` at 0 (``-1 < exponent <= 0``)
+    takes the Gauss–Laguerre rule of that weight, which absorbs the power."""
     if scale <= 0.0:
         raise DivergentIntegralError(
             f"frequency integral diverges at infinity (decay rate {scale} <= 0)"
         )
 
     def run(k: int) -> complex:
-        rule = _quad.gauss_laguerre(0.0, scale, k)
+        rule = _quad.gauss_laguerre(exponent, scale, k)
         return complex(np.sum(rule.plain_weights() * values(rule.nodes)))
 
     coarse = run(_HALFLINE_NODES)
@@ -670,7 +679,8 @@ def l2nu_inner_product(f_profile: SpectralProfile, g_profile: SpectralProfile, n
         # order in the bases' lateral product, and to second order when that
         # product is zero.
         vanish = 2.0 if complex(np.vdot(g_base.base.z, f_base.base.z)) == 0.0 else 1.0
-        if weight_power + extra - 2.0 * n - 2.0 + vanish <= -1.0:
+        small_power = weight_power + extra - 2.0 * n - 2.0 + vanish
+        if small_power <= -1.0:
             raise DivergentIntegralError(
                 f"spectral pairing diverges at frequency 0 for weight {nu}"
             )
@@ -686,6 +696,7 @@ def l2nu_inner_product(f_profile: SpectralProfile, g_profile: SpectralProfile, n
             * _dirichlet_cross_values(f_base, g_base, mu),
             decay,
             _PAIRING_RTOL,
+            min(small_power, 0.0),
         )
         return _plancherel(n) * value
     if isinstance(f_base, FiniteProfile) and isinstance(g_base, KernelProfile):
@@ -830,6 +841,40 @@ def _combination_values(terms, z_components, t, h):
 
 
 @dataclass(frozen=True)
+class ChartAnchors:
+    """Where the chart values of a function are anchored: the distinct lateral
+    positions ``(z, t)`` of the points its pairings are taken against, and
+    per lateral slot the largest degree of a holomorphic monomial factor.  A
+    translation or rotation that fixes every position changes the values
+    only through those monomials."""
+
+    positions: frozenset
+    degrees: tuple[int, ...]
+
+    def union(self, other: "ChartAnchors") -> "ChartAnchors":
+        return ChartAnchors(self.positions | other.positions, tuple(map(max, self.degrees, other.degrees)))
+
+
+def _profile_anchors(profile: SpectralProfile) -> ChartAnchors:
+    """Kernel slices are anchored at their base, logarithmic slices at their
+    base and the center, finite fields on the axis with their monomials'
+    degrees; height derivatives keep the anchors."""
+    base, _ = _unwrap_derived(profile)
+    n = base.n
+    degrees = [0] * n
+    if isinstance(base, KernelProfile):
+        points = [base.base]
+    elif isinstance(base, DirichletKernelProfile):
+        points = [base.base, base_point(n)]
+    elif isinstance(base, FiniteProfile):
+        points = [_axis_point(n, 1.0)] if base.terms else []
+        degrees = [max((term.alpha[j] for term in base.terms), default=0) for j in range(n)]
+    else:
+        raise InvalidParameterError(f"no chart anchors for profile type {type(base).__name__}")
+    return ChartAnchors(frozenset((tuple(p.z.tolist()), p.t) for p in points), tuple(degrees))
+
+
+@dataclass(frozen=True)
 class ProfileFunction:
     """Chart-evaluable view of a synthesized field by its closed form, plus an
     optional additive constant (the constant is dropped by height
@@ -844,6 +889,10 @@ class ProfileFunction:
     @property
     def n(self) -> int:
         return self.profile.n
+
+    @property
+    def chart_anchors(self) -> ChartAnchors:
+        return _profile_anchors(self.profile)
 
     def chart_values(self, z_components, t, h) -> np.ndarray:
         values = _closed_profile_values(self.profile, z_components, t, h)
@@ -1061,8 +1110,13 @@ class ChartNormRules:
     space's weight exactly near 0 and an exponential-stretch far field.  Tail
     drift monitoring recomputes the integral with the far fields pushed
     outward and flags growth (divergence) or disagreement (under-resolution).
-    The grid is streamed in blocks of at most 131,072 points, so
-    ``max_points`` bounds the work of one pass, not its memory.
+
+    A pass over functions that declare their anchors runs in the anchors'
+    frame on a reduced grid (see :func:`_chart_layout`): slots that the
+    values enter only through ``|z_j|`` share one radial axis, so
+    ``angle_count`` is the most angles a slot gets.  The grid is streamed in
+    blocks of at most 131,072 points, so ``max_points`` bounds the work of
+    one pass over the reduced grid, not its memory.
     """
 
     radial_scale: float = 1.2
@@ -1110,11 +1164,29 @@ class ChartNormRules:
         )
 
 
-def _volume_axes(n: int, height_beta: float | None, rules: ChartNormRules) -> list[_quad.Axis1D]:
+def _volume_axes(
+    n: int,
+    height_beta: float | None,
+    rules: ChartNormRules,
+    angle_counts: Sequence[int] | None = None,
+    merged: int = 0,
+) -> list[_quad.Axis1D]:
+    """Radial axes of the polar slots (Jacobian ``r``), then one radial axis
+    shared by ``merged`` slots (Jacobian ``|S^(2k-1)| r^(2k-1)``, ``k =
+    merged``), one angle axis per polar slot, the t axis and the height axis.
+    By default every slot is polar with ``rules.angle_count`` angles: the
+    chart's own grid."""
+    if angle_counts is None:
+        angle_counts = [rules.angle_count] * n
     radial = _quad.tan_half_axis(rules.radial_scale, rules.radial_panels, rules.radial_order)
-    radial = _quad.Axis1D(radial.mapping, radial.params, radial.nodes, radial.weights * radial.nodes)
-    angle = _quad.angle_axis(rules.angle_count)
-    axes: list[_quad.Axis1D] = [radial] * n + [angle] * n
+    axes: list[_quad.Axis1D] = [
+        _quad.Axis1D(radial.mapping, radial.params, radial.nodes, radial.weights * radial.nodes)
+    ] * len(angle_counts)
+    if merged:
+        sphere = 2.0 * math.pi**merged / math.gamma(merged)
+        weights = sphere * radial.weights * radial.nodes ** (2 * merged - 1)
+        axes.append(_quad.Axis1D(radial.mapping, radial.params, radial.nodes, weights))
+    axes += [_quad.angle_axis(count) for count in angle_counts]
     axes.append(_quad.tan_axis(rules.t_scale, rules.t_panels, rules.t_order))
     if height_beta is not None:
         axes.append(
@@ -1128,6 +1200,118 @@ def _volume_axes(n: int, height_beta: float | None, rules: ChartNormRules) -> li
             )
         )
     return axes
+
+
+def _gram_anchors(functions) -> ChartAnchors | None:
+    """The union of the functions' anchors; ``None`` if one declares none."""
+    anchors = [getattr(F, "chart_anchors", None) for F in functions]
+    if any(a is None for a in anchors):
+        return None
+    return reduce(ChartAnchors.union, anchors)
+
+
+def _rotation_to_first_slot(v: np.ndarray) -> np.ndarray:
+    """A unitary ``U`` with ``U v = e_1`` for a unit vector ``v``: a
+    Householder reflection times a phase."""
+    phase = v[0] / abs(v[0]) if v[0] != 0 else 1.0
+    w = v.copy()
+    w[0] += phase
+    reflection = np.eye(len(v)) - 2.0 * np.outer(w, w.conj()) / np.vdot(w, w).real
+    return -np.conj(phase) * reflection
+
+
+def _anchor_frame(anchors: ChartAnchors, n: int):
+    """``(frame, zero_slots)``: the map that carries the canonical positions
+    of the anchors to their chart positions (``None`` for the identity), and
+    the lateral slots where every canonical position is 0; ``None`` for three
+    or more positions, which keep the chart's own grid.
+
+    One position is translated to (0, 0).  Two are translated so that their
+    lateral midpoint and then their t-midpoint are 0; unless a monomial
+    factor is present, a rotation then turns their separation into slot 1,
+    the position with the larger t onto the positive axis.  Translations and
+    rotations fix the height and have unit Jacobian.
+    """
+    # A fixed order of the positions makes the frame independent of the
+    # order of the functions.
+    positions = sorted(anchors.positions, key=lambda p: (p[1], [(c.real, c.imag) for c in p[0]]))
+    if len(positions) > 2:
+        return None
+    if len(positions) < 2:
+        if not positions or (not any(positions[0][0]) and positions[0][1] == 0.0):
+            return None, set(range(n))
+        z, t = positions[0]
+        return HeisenbergTranslation(HeisenbergElement(np.asarray(z), t)), set(range(n))
+    (z1, t1), (z2, t2) = ((np.asarray(z, dtype=np.complex128), t) for z, t in positions)
+    mid = 0.5 * (z1 + z2)
+    # The times after the translation by [-mid, 0].
+    s1 = t1 + 0.5 * float(np.vdot(mid, z1).imag)
+    s2 = t2 + 0.5 * float(np.vdot(mid, z2).imag)
+    half = 0.5 * (z1 - z2)
+    translation = HeisenbergTranslation(HeisenbergElement(mid, 0.5 * (s1 + s2)))
+    if any(anchors.degrees) or not half.any():
+        return translation, {j for j in range(n) if half[j] == 0}
+    lead = half if s1 >= s2 else -half
+    rotation = _rotation_to_first_slot(lead / np.linalg.norm(lead))
+    return Composition((translation, Unitary(rotation.conj().T))), set(range(1, n))
+
+
+@dataclass(frozen=True)
+class _ChartLayout:
+    """A chart grid: its axes (see :func:`_volume_axes`), the lateral slots
+    with polar axes, the slots that share one radial axis, the frame that
+    carries grid points to the functions' chart, and a label of the axes."""
+
+    axes: tuple
+    polar: tuple[int, ...]
+    merged: tuple[int, ...]
+    frame: object
+    label: str
+
+    def chart_points(self, block: Sequence[np.ndarray], n: int):
+        """Lateral components and times of a block of grid coordinates in the
+        functions' chart; a merged slot group sits at ``z = (r, 0, ...)``."""
+        polar = len(self.polar)
+        radial = polar + bool(self.merged)
+        z_components = [0j] * n
+        for k, slot in enumerate(self.polar):
+            z_components[slot] = block[k] * np.exp(1j * block[radial + k])
+        if self.merged:
+            z_components[self.merged[0]] = block[polar]
+        t = block[radial + polar]
+        if self.frame is None:
+            return z_components, t
+        return move_parts(self.frame, z_components, t)
+
+
+def _chart_layout(functions, n: int, height_beta: float | None, rules: ChartNormRules) -> _ChartLayout:
+    """The grid of a chart pass over ``functions``, reduced by their anchors.
+
+    In the anchor frame a slot where every position is 0 enters the values
+    only through ``|z_j|``, up to monomials of known degree.  Such slots
+    without monomials merge into one radial axis; a slot with monomials of
+    degree at most D keeps ``min(angle_count, D + 1)`` angles, for which the
+    periodic rule is exact.  Functions that declare no anchors, and three or
+    more positions, keep the chart's own grid.
+    """
+    anchors = _gram_anchors(functions)
+    framed = None if anchors is None else _anchor_frame(anchors, n)
+    frame, zero = framed or (None, set())
+    merged = tuple(j for j in sorted(zero) if anchors.degrees[j] == 0)
+    polar = tuple(j for j in range(n) if j not in merged)
+    counts = [min(rules.angle_count, anchors.degrees[j] + 1) if j in zero else rules.angle_count for j in polar]
+    radial = f"radial {rules.radial_panels}x{rules.radial_order}"
+    parts = [radial, "angles " + "/".join(str(c) for c in sorted(set(counts), reverse=True))] if polar else []
+    parts += [f"{radial} merged"] if merged else []
+    parts += [f"t {rules.t_panels}x{rules.t_order}", f"h-tail {rules.h_tail_panels}x{rules.h_tail_order}"]
+    if anchors is None:
+        prefix = ""
+    elif framed is None:
+        prefix = f"frame none ({len(anchors.positions)} anchors): "
+    else:
+        prefix = f"frame {len(anchors.positions)} anchor{'' if len(anchors.positions) == 1 else 's'}: "
+    axes = _volume_axes(n, height_beta, rules, counts, len(merged))
+    return _ChartLayout(tuple(axes), polar, merged, frame, "chart " + prefix + ", ".join(parts))
 
 
 #: Points per streamed block of a chart grid.  At 2**17 points one complex
@@ -1178,8 +1362,9 @@ def _chart_gram(
     of the axis before that suffix, and one node of every earlier axis; a
     grid that fits in one block is one block.
     """
-    axes = _volume_axes(n, height_beta, rules)
-    box = _quad.BoxRule(tuple(axes))
+    layout = _chart_layout(functions, n, height_beta, rules)
+    axes = layout.axes
+    box = _quad.BoxRule(axes)
     if box.point_count > rules.max_points:
         raise InvalidParameterError(
             f"chart rule has {box.point_count} points, over the limit {rules.max_points}; "
@@ -1202,10 +1387,10 @@ def _chart_gram(
                 grid[(slice(None),) * i + (index[i],)] if i <= chunked else grid
                 for i, grid in enumerate(grids)
             ]
-            z_components = [block[j] * np.exp(1j * block[n + j]) for j in range(n)]
-            h_grid = block[2 * n + 1] if height_beta is not None else fixed_height
+            z_components, t = layout.chart_points(block, n)
+            h_grid = block[-1] if height_beta is not None else fixed_height
             weights = lead_weight * axes[chunked].weights[start : start + step].reshape(column) * tail_weights
-            values = [np.asarray(F.chart_values(z_components, block[2 * n], h_grid)) for F in functions]
+            values = [np.asarray(F.chart_values(z_components, t, h_grid)) for F in functions]
             _accumulate(gram, weights, values)
     return gram
 

@@ -2,9 +2,10 @@
 report shapes, the scope of ``--tol``, and the ``kernel eval``, ``synth``,
 ``norm`` and ``da-norm`` evaluators.
 
-Only suites without chart grids run here (``group``, ``fock``, ``bargmann``,
-``drury-arveson``) and ``norm`` runs on the spectral side, so the whole file
-takes seconds.
+Whole suites run here only without chart grids (``group``, ``fock``,
+``bargmann``, ``drury-arveson``), or at n = 2 for ``paley-wiener``, whose
+one-anchor chart rows run on 3-D grids; ``norm`` runs on the spectral side.
+So the whole file takes seconds.
 """
 
 import csv
@@ -235,6 +236,30 @@ class TestEvidenceRows:
         cases = [(0.1, 1.0, 2.0), (0.3, 3.0, 4.0), (0.3, 5.0, 6.0), (math.nan, 7.0, 8.0)]
         assert cli._worst_case(cases) == (0.3, 3.0, 4.0)
         assert cli._worst_case([(0.0, 1.0, 2.0), (0.0, 3.0, 4.0)]) == (0.0, 1.0, 2.0)
+
+
+class TestAnchorFrameRows:
+    """Chart rows in the anchors' frame."""
+
+    @pytest.mark.parametrize("seed", [4, 28])
+    def test_kernel_reproducing_quadrature_off_axis_anchors(self, seed):
+        # These seeds draw anchors far from the axis: on grids centred at
+        # z = 0 their errors were 5.46e-4 and 1.63e-4.
+        check_id = "kernels-reproducing-quadrature"
+        cfg = cli.SuiteConfig(seed=seed)
+        spec = next(spec for spec in cli._specs_for("all") if spec.check_id == check_id)
+        data = spec.run(cfg, cli._check_rng(cfg, check_id))
+        assert data.rel_error < 1e-4
+        assert data.rules == "chart frame 2 anchors: radial 4x16, angles 16, t 7x16, h-tail 5x16"
+
+    def test_one_anchor_derivative_rows_pass_at_n2(self, tmp_path):
+        _, doc = run_verify(tmp_path, "--suite", "paley-wiener", "--n", "2", "--seed", "1", "--jobs", "1")
+        rows = {row["id"]: row for row in doc["checks"]}
+        ids = ("pw-derivative-identity", "pw-m-independence-quadrature")
+        for check_id in ids:
+            assert rows[check_id]["passed"]
+            assert rows[check_id]["rules"] == "chart frame 1 anchor: radial 4x16 merged, t 7x16, h-tail 5x16"
+        assert sum(rows[check_id]["seconds"] for check_id in ids) < 2.0
 
 
 OMEGA = {"z": [[0.3, 0.1]], "t": -0.2, "h": 0.8}

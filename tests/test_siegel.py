@@ -317,6 +317,45 @@ class TestApply:
         assert sg.classify(image) in ("interior", "boundary")
 
 
+class TestArrayActions:
+    """Translations and rotations act on chart arrays, and the scalar apply
+    is those actions on one point."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_match_the_scalar_apply_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        count = 37
+        z = [rng.normal(size=count) + 1j * rng.normal(size=count) for _ in range(n)]
+        t = rng.normal(size=count)
+        translation = sg.HeisenbergTranslation(
+            hg.HeisenbergElement(rng.normal(size=n) + 1j * rng.normal(size=n), float(rng.normal()))
+        )
+        rotation = sg.Unitary(np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0])
+        for phi in (translation, rotation, sg.Composition((translation, rotation))):
+            moved_z, moved_t = sg.move_parts(phi, z, t)
+            for i in range(count):
+                p = sg.SiegelPoint([zj[i] for zj in z], t[i], 0.7)
+                q = sg.apply(phi, p)
+                assert np.array_equal(q.z, [zj[i] for zj in moved_z])
+                assert q.t == moved_t[i] and q.h == p.h
+
+    def test_broadcast_components(self):
+        # Slots on different axes of a grid, and a slot held at 0.
+        r = np.linspace(0.1, 2.0, 4).reshape(-1, 1)
+        theta = np.linspace(0.0, 6.0, 5).reshape(1, -1)
+        z = [r * np.exp(1j * theta), 0j]
+        translation = sg.HeisenbergTranslation(hg.HeisenbergElement([0.3 - 0.1j, 0.2j], -0.4))
+        moved_z, moved_t = sg.move_parts(translation, z, 1.5)
+        assert moved_z[0].shape == moved_t.shape == (4, 5)
+        assert moved_z[1] == 0.2j
+        expected = hg.mul(hg.HeisenbergElement([z[0][2, 3], 0j], 1.5), translation.element)
+        assert moved_z[0][2, 3] == expected.z[0] and abs(moved_t[2, 3] - expected.t) < 1e-15
+
+    def test_other_maps_do_not_act_on_arrays(self):
+        with pytest.raises(InvalidParameterError):
+            sg.move_parts(sg.Dilation(2.0), [np.ones(3)], np.zeros(3))
+
+
 class TestJson:
     def test_point_round_trip(self):
         for p in (

@@ -27,8 +27,11 @@ import siegelpw.spectral as sp
 from siegelpw.errors import DivergentIntegralError, InvalidParameterError
 from siegelpw.gammaexpr import paley_wiener_constant
 from siegelpw.siegel import (
+    Composition,
     Dilation,
+    HeisenbergTranslation,
     HorocyclicCoordinates,
+    Unitary,
     apply,
     base_point,
     psi,
@@ -493,6 +496,39 @@ class TestPairings:
         expected = sp.synthesize(field, where)
         assert abs(value - expected) < 1e-9 * abs(expected)
 
+    @pytest.mark.parametrize("nu", [-2.9, -2.5, -2.2, -2.05])
+    def test_log_norm_below_the_endpoint_weight(self, nu):
+        # Above the endpoint weight the integrand behaves like mu^p at 0 with
+        # -1 < p < 0; the half-line rule of that weight absorbs the power.
+        # Reference: QUADPACK's algebraic-weight rule on (0, 1] and plain
+        # adaptive quadrature beyond, with expm1 in the four-term bracket.
+        from scipy import integrate
+
+        profile = sp.DirichletKernelProfile(1, 2, point([0.3], 0.5, 1.2))
+        center = chart([0.0], 0.0, 1.0)
+        base = psi(profile.base)
+        rates = [(1.0, pairing2(base, base)), (-1.0, pairing2(base, center)),
+                 (-1.0, pairing2(center, base)), (1.0, pairing2(center, center))]
+        p = (1.0 - nu - 1.0) - 4.0 + 1.0
+
+        def expm1(x):
+            # e^x - 1 for complex x without cancellation near 0.
+            return complex(
+                math.expm1(x.real) * math.cos(x.imag) - 2.0 * math.sin(0.5 * x.imag) ** 2,
+                math.exp(x.real) * math.sin(x.imag),
+            )
+
+        def smooth(mu):
+            # The integrand over mu^p: the bracket (its signs sum to 0) over mu.
+            mu = max(mu, 1e-300)
+            bracket = sum(sign * expm1(-mu * rate) for sign, rate in rates)
+            return profile.normalization**2 * (bracket / mu).real
+
+        near = integrate.quad(smooth, 0.0, 1.0, weight="alg", wvar=(p, 0.0), epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        far = integrate.quad(lambda mu: smooth(mu) * mu**p, 1.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        expected = (near + far) / TWO_PI**2
+        assert abs(sp.l2nu_norm_sq(profile, nu) - expected) < 1e-8 * expected
+
     def test_log_pair_reproduces_dotted_values(self):
         n, m = 1, 2
         first = point([0.3], 0.5, 1.2)
@@ -690,7 +726,7 @@ class TestPointwiseAdapter:
         wrapped = sp.PointwiseFunction(
             1, lambda p: kernel_value(1, 0.0, 0, psi(p), base)
         )
-        a = sp.space_norm_sq(direct, sp.Bergman(0.0), TINY_RULES)
+        a = sp.space_norm_sq(Unanchored(direct), sp.Bergman(0.0), TINY_RULES)
         b = sp.space_norm_sq(wrapped, sp.Bergman(0.0), TINY_RULES)
         assert abs(a - b) < 1e-10 * a
 
@@ -712,7 +748,7 @@ class TestPointwiseAdapter:
         )
         direct = sp.ProfileFunction(sp.KernelProfile(1, nu, GENERIC_BASE_1, m))
         tag = sp.WeightedDirichlet(nu, m)
-        a = sp.space_norm_sq(direct, tag, TINY_RULES)
+        a = sp.space_norm_sq(Unanchored(direct), tag, TINY_RULES)
         b = sp.space_norm_sq(wrapped, tag, TINY_RULES)
         assert abs(a - b) < 1e-10 * a
 
@@ -874,6 +910,20 @@ class HeightOnly:
         return np.asarray(np.exp(-np.asarray(h)) + 0.5j)
 
 
+class Unanchored:
+    """A chart function with its anchors hidden, so a pass over it runs on the
+    chart's own grid."""
+
+    def __init__(self, function):
+        self.function, self.n = function, function.n
+
+    def chart_values(self, z_components, t, h):
+        return self.function.chart_values(z_components, t, h)
+
+    def height_derivative(self, order):
+        return Unanchored(self.function.height_derivative(order))
+
+
 def full_grid_gram(functions, n, height_beta, rules, fixed_height=None):
     """One-shot reference: evaluate every function on the whole tensor grid
     and contract each product f_j conj(f_k) one axis at a time."""
@@ -973,7 +1023,11 @@ class TestStreamedGram:
         assert sum(calls[::2]) == math.prod(sizes)
 
     def test_norm_is_the_gram_diagonal(self):
-        F, G = streamed_functions(1)[:2]
+        # The constant adds no anchor, so the pair runs on the slice's grid.
+        F, _, G = streamed_functions(1)[:3]
+        gram = sp.space_gram([F, G], sp.Bergman(0.0), TINY_RULES)
+        assert gram[0, 0] == sp.space_norm_sq(F, sp.Bergman(0.0), TINY_RULES)
+        F, G = Unanchored(F), Unanchored(streamed_functions(1)[1])
         gram = sp.space_gram([F, G], sp.Bergman(0.0), TINY_RULES)
         assert gram[0, 0] == sp.space_norm_sq(F, sp.Bergman(0.0), TINY_RULES)
         assert gram[1, 1] == sp.space_norm_sq(G, sp.Bergman(0.0), TINY_RULES)
@@ -1001,11 +1055,149 @@ class TestStreamedGram:
 
     def test_block_memory_of_a_six_dimensional_pass(self):
         # One kernel slice on the 12.6 M-point smoke layout at n = 2 (4.7 MB
-        # measured).
+        # measured); its anchor is hidden, so the grid stays 6-D.
         rules = replace(sp.ChartNormRules.smoke(), check_tails=False)
         points = math.prod(axis.node_count for axis in sp._volume_axes(2, 0.0, rules))
         assert points > 10_000_000
-        assert self.traced_peak(streamed_functions(2)[:1], 2, rules) < 8e6 < 16 * points
+        functions = [Unanchored(streamed_functions(2)[0])]
+        assert len(sp._chart_layout(functions, 2, 0.0, rules).axes) == 6
+        assert self.traced_peak(functions, 2, rules) < 8e6 < 16 * points
+
+
+#: Radial axes fine enough that the merged radial axis of two slots and the
+#: product of two radial axes agree to rounding; the integrands below do not
+#: depend on the angles, which one node of weight 2π integrates exactly.
+CONVERGED_RADIAL_RULES = sp.ChartNormRules(
+    radial_panels=6,
+    radial_order=20,
+    angle_count=1,
+    t_panels=1,
+    t_order=5,
+    h_panels=1,
+    h_order=3,
+    h_tail_panels=1,
+    h_tail_order=3,
+    check_tails=False,
+)
+
+
+def finite_field(n):
+    terms = (
+        sp.FiniteTerm((0,) * n, 1.0, 0.0, 1.0),
+        sp.FiniteTerm((2,) + (0,) * (n - 1), -0.2 + 0.5j, 0.5, 0.7),
+    )
+    return sp.ProfileFunction(sp.FiniteProfile(n, terms))
+
+
+def gram_gap(got, expected):
+    scale = np.sqrt(np.outer(np.diag(expected).real, np.diag(expected).real))
+    return float(np.max(np.abs(got - expected) / scale))
+
+
+def rand_point(rng, n):
+    z = rng.normal(0.0, 0.5, n) + 1j * rng.normal(0.0, 0.5, n)
+    return point(z, rng.normal(0.0, 0.5), rng.uniform(0.5, 1.5))
+
+
+def kernel_slices(n, *bases):
+    return [sp.ProfileFunction(sp.KernelProfile(n, 0.0, base)) for base in bases]
+
+
+class TestAnchorFrame:
+    """The chart engine integrates in the anchors' frame on a reduced grid."""
+
+    def test_anchors_of_each_family(self):
+        base = point([0.3 - 0.2j, 0.1j], 0.4, 0.9)
+        center = ((0j, 0j), 0.0)
+        at_base = ((0.3 - 0.2j, 0.1j), 0.4)
+        kernel = sp.ProfileFunction(sp.KernelProfile(2, 0.0, base)).chart_anchors
+        assert kernel == sp.ChartAnchors(frozenset({at_base}), (0, 0))
+        log = sp.ProfileFunction(sp.DirichletKernelProfile(2, 2, base), 1.0).height_derivative(2)
+        assert log.chart_anchors.positions == {center, at_base}
+        assert finite_field(2).chart_anchors == sp.ChartAnchors(frozenset({center}), (2, 0))
+        empty = sp.ProfileFunction(sp.FiniteProfile(2, ()), 1.0).chart_anchors
+        assert empty == sp.ChartAnchors(frozenset(), (0, 0))
+        combo = kr.FunctionCombination(((1.0, finite_field(2)), (2.0, kernel_slices(2, base)[0])))
+        assert combo.chart_anchors == sp.ChartAnchors(frozenset({center, at_base}), (2, 0))
+        assert kr.FunctionCombination(((1.0, HeightOnly(2)), (1.0, combo))).chart_anchors is None
+
+    @pytest.mark.parametrize(
+        "n, functions, sizes",
+        [
+            (1, lambda: kernel_slices(1, GENERIC_BASE_1), [5, 6, 11]),
+            (2, lambda: kernel_slices(2, GENERIC_BASE_2), [5, 6, 11]),
+            (1, lambda: kernel_slices(1, GENERIC_BASE_1, point([-0.2j], 0.5, 1.3)), [5, 6, 6, 11]),
+            (2, lambda: kernel_slices(2, GENERIC_BASE_2, point([-0.2j, 0.1], 0.5, 1.3)), [5, 5, 6, 6, 11]),
+            (1, lambda: [finite_field(1)], [5, 3, 6, 11]),
+            (2, lambda: [finite_field(2)], [5, 5, 3, 6, 11]),
+            (2, lambda: kernel_slices(2, GENERIC_BASE_2, point([-0.2j, 0.1], 0.5, 1.3), base_point(2)),
+             [5, 5, 6, 6, 6, 11]),
+            (2, lambda: [HeightOnly(2)], [5, 5, 6, 6, 6, 11]),
+        ],
+        ids=["n1-one", "n2-one", "n1-two", "n2-two", "n1-finite", "n2-finite", "n2-three", "n2-unanchored"],
+    )
+    def test_reduced_grid_sizes(self, n, functions, sizes):
+        layout = sp._chart_layout(functions(), n, 0.0, TINY_RULES)
+        assert [axis.node_count for axis in layout.axes] == sizes
+
+    @pytest.mark.parametrize(
+        "n, functions, rules",
+        [
+            (1, lambda: kernel_slices(1, point([0.0], 0.0, 0.9)), TINY_RULES),
+            (2, lambda: kernel_slices(2, point([0.0, 0.0], 0.0, 0.9)), CONVERGED_RADIAL_RULES),
+            (2, lambda: kernel_slices(2, point([0.3, 0.0], 0.2, 0.8), point([-0.3, 0.0], -0.2, 1.3)), TINY_RULES_2),
+            (1, lambda: [finite_field(1)], TINY_RULES),
+            (2, lambda: [finite_field(2)], TINY_RULES_2),
+        ],
+        ids=["n1-axis", "n2-axis", "n2-slot-1-pair", "n1-finite", "n2-finite"],
+    )
+    @pytest.mark.parametrize("height_beta, fixed_height", [(0.0, None), (None, 0.4)])
+    def test_reduced_gram_matches_the_full_grid(self, n, functions, rules, height_beta, fixed_height):
+        # Anchors already in frame position: the reduced grid integrates the
+        # same sums as the full tensor grid, exactly in the dropped angles.
+        functions = functions()
+        got = sp._chart_gram(functions, n, height_beta, rules, fixed_height)
+        expected = full_grid_gram(functions, n, height_beta, rules, fixed_height)
+        reduced = sp._chart_layout(functions, n, height_beta, rules).axes
+        full = sp._volume_axes(n, height_beta, rules)
+        assert math.prod(a.node_count for a in reduced) < math.prod(a.node_count for a in full)
+        assert gram_gap(got, expected) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_moving_all_anchors_leaves_the_gram_unchanged(self, n):
+        rng = np.random.default_rng(40)
+        bases = [rand_point(rng, n), rand_point(rng, n)]
+        element = hg.HeisenbergElement(rng.normal(size=n) + 1j * rng.normal(size=n), float(rng.normal()))
+        rotation = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+        phi = Composition((HeisenbergTranslation(element), Unitary(rotation)))
+        for count in (1, 2):
+            grams = [
+                sp._chart_gram(kernel_slices(n, *points[:count]), n, 0.0, TINY_RULES if n == 1 else TINY_RULES_2)
+                for points in (bases, [apply(phi, b) for b in bases])
+            ]
+            assert gram_gap(grams[1], grams[0]) < 1e-12
+
+    def test_three_anchors_and_unanchored_functions_keep_the_chart_grid(self):
+        points = [GENERIC_BASE_1, point([-0.2 + 0.4j], 0.5, 1.3), point([0.1j], -0.3, 0.7)]
+        slices = [kr.kernel_slice(kr.DirichletLog(2, dotted=True), p) for p in points]
+        combo = kr.FunctionCombination(tuple(zip([1.0, -0.5 + 0.3j, 0.25j], slices))).height_derivative(2)
+        for functions in ([combo], [HeightOnly(1)]):
+            layout = sp._chart_layout(functions, 1, 1.0, TINY_RULES)
+            assert layout.frame is None and layout.polar == (0,) and not layout.merged
+            got = sp._chart_gram(functions, 1, 1.0, TINY_RULES)
+            assert np.array_equal(got, sp._chart_gram([Unanchored(F) for F in functions], 1, 1.0, TINY_RULES))
+        assert layout.label == "chart radial 1x5, angles 6, t 1x6, h-tail 1x5"
+        assert sp._chart_layout([combo], 1, 1.0, TINY_RULES).label == (
+            "chart frame none (4 anchors): radial 1x5, angles 6, t 1x6, h-tail 1x5"
+        )
+
+    def test_labels_name_the_axes_used(self):
+        one = sp._chart_layout(kernel_slices(2, GENERIC_BASE_2), 2, 0.0, kr.KERNEL_QUADRATURE_RULES)
+        assert one.label == "chart frame 1 anchor: radial 4x16 merged, t 7x16, h-tail 5x16"
+        two = sp._chart_layout(kernel_slices(2, GENERIC_BASE_2, base_point(2)), 2, 0.0, TINY_RULES_2)
+        assert two.label == "chart frame 2 anchors: radial 1x3, angles 5, radial 1x3 merged, t 1x5, h-tail 1x3"
+        finite = sp._chart_layout([finite_field(2)], 2, 0.0, TINY_RULES_2)
+        assert finite.label == "chart frame 1 anchor: radial 1x3, angles 3, radial 1x3 merged, t 1x5, h-tail 1x3"
 
 
 class TestAccumulate:
