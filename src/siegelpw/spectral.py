@@ -144,6 +144,7 @@ def _pairing_power(re, im, s: float):
         base = np.empty(np.shape(modulus), dtype=np.complex128)
         np.divide(u, modulus, out=base.real)
         np.divide(-0.5 * im, u * modulus, out=base.imag)
+        del modulus, u  # two block-sized temporaries, freed before the powers
         return _integer_power(base, int(2.0 * s))
     return np.power(re + 1j * im, -s)
 
