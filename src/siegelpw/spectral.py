@@ -777,14 +777,15 @@ def _closed_profile_values(profile: SpectralProfile, z_components, t, h):
         return amp * _pairing_power(re, im, s)
     if isinstance(base, FiniteProfile):
         sign = -1.0 if order % 2 else 1.0
-        total = 0.0
+        # Without terms the values are a zero that broadcasts over the block.
+        total = np.zeros((), dtype=np.complex128)
         for term in base.terms:
             s = n + 1.0 + term.power + 0.5 * term.alpha.degree + order
             amp = sign * np.conj(term.coefficient) * _slot_amplitude(term.alpha) * _plancherel(n)
             amp = amp * math.gamma(s)
             power = _pairing_power(*pairing_parts(z_components, t, h, _axis_point(n, term.decay)), s)
             total = total + amp * _monomial(z_components, term.alpha) * power
-        return total if base.terms else np.zeros(np.broadcast(*z_components, t, h).shape, complex)
+        return total
     if isinstance(base, DirichletKernelProfile):
         if order == 0:
             center = base_point(n)

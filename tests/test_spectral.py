@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 import siegelpw.bargmann as bg
 import siegelpw.fock as fk
@@ -502,13 +503,14 @@ class TestPairings:
         # -1 < p < 0; the half-line rule of that weight absorbs the power.
         # Reference: QUADPACK's algebraic-weight rule on (0, 1] and plain
         # adaptive quadrature beyond, with expm1 in the four-term bracket.
-        from scipy import integrate
-
         profile = sp.DirichletKernelProfile(1, 2, point([0.3], 0.5, 1.2))
         center = chart([0.0], 0.0, 1.0)
         base = psi(profile.base)
         rates = [(1.0, pairing2(base, base)), (-1.0, pairing2(base, center)),
                  (-1.0, pairing2(center, base)), (1.0, pairing2(center, center))]
+        # The weight power n - nu - 1, less the 2n + 2 of the two fields,
+        # plus the bracket's first-order zero (the bases' lateral product is
+        # not 0).
         p = (1.0 - nu - 1.0) - 4.0 + 1.0
 
         def expm1(x):
