@@ -19,6 +19,7 @@ import io
 import json
 import math
 import sys
+import threading
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -121,6 +122,11 @@ def _check_rng(cfg: SuiteConfig, check_id: str) -> np.random.Generator:
     )
 
 
+#: The layout label of the chart row running on this thread (one row at a
+#: time per pool thread), so that a row that raises still names its axes.
+_row_layout = threading.local()
+
+
 def _chart_rules(
     cfg: SuiteConfig, functions: Sequence, reinforced: bool = False
 ) -> tuple[sp.ChartNormRules, str]:
@@ -138,6 +144,7 @@ def _chart_rules(
     if cfg.fast or (cfg.n >= 2 and layout.polar):
         rules = sp.ChartNormRules.smoke()
         layout = sp._chart_layout(functions, cfg.n, None, rules)
+    _row_layout.label = layout.label
     return rules, layout.label
 
 
@@ -585,7 +592,7 @@ def _check_pw_m_independence_spectral(cfg: SuiteConfig, rng) -> CheckData:
         rhs = kr.kernel_eval(kid, base, base).real
         rows.append((_rel(lhs, rhs), lhs, rhs))
     worst, lhs, rhs = _worst_case(rows)
-    return CheckData(lhs, rhs, worst, 1e-10, rules="closed-form Laplace pieces; node doubling only for the logarithmic family")
+    return CheckData(lhs, rhs, worst, 1e-10, rules="closed-form Laplace pieces")
 
 
 def _check_pw_endpoint_identity(cfg: SuiteConfig, rng) -> CheckData:
@@ -652,7 +659,7 @@ def _check_kernels_reproducing_spectral(cfg: SuiteConfig, rng) -> CheckData:
         kr.reproducing_check(kid, zeta, omega, method="spectral")
         for kid in _spectral_check_ids(cfg)
     )
-    return CheckData(worst, 0.0, worst, 1e-10, rules="closed-form Laplace pieces; node doubling only for the logarithmic family")
+    return CheckData(worst, 0.0, worst, 1e-10, rules="closed-form Laplace pieces; Frullani integrals for the logarithmic family")
 
 
 def _check_kernels_reproducing_quadrature(cfg: SuiteConfig, rng) -> CheckData:
@@ -748,7 +755,7 @@ def _check_dirichlet_reproducing_spectral(cfg: SuiteConfig, rng) -> CheckData:
         kr.reproducing_check(kr.DirichletLog(m, dotted=dotted), zeta, omega)
         for dotted in (False, True)
     )
-    return CheckData(worst, 0.0, worst, 1e-10, rules="logarithmic family: half-line rule with node doubling")
+    return CheckData(worst, 0.0, worst, 1e-10, rules="logarithmic family: closed-form Frullani integrals")
 
 
 def _check_dirichlet_reproducing_quadrature(cfg: SuiteConfig, rng) -> CheckData:
@@ -984,17 +991,13 @@ def _specs_for(name: str) -> tuple[CheckSpec, ...]:
 
 def _run_check(spec: CheckSpec, cfg: SuiteConfig) -> CheckResult:
     rng = _check_rng(cfg, spec.check_id)
+    _row_layout.label = None
     started = time.perf_counter()
     try:
         data = spec.run(cfg, rng)
     except Exception as exc:  # a raising check fails; it must not kill the run
-        data = CheckData(
-            math.nan,
-            math.nan,
-            math.inf,
-            0.0,
-            rules=f"raised {type(exc).__name__}: {exc}",
-        )
+        label = "" if _row_layout.label is None else f"; {_row_layout.label}"
+        data = CheckData(math.nan, math.nan, math.inf, 0.0, rules=f"raised {type(exc).__name__}: {exc}{label}")
     elapsed = time.perf_counter() - started
     tolerance = data.tolerance
     if cfg.fast and data.fast_tolerance is not None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 
 def _fmt_number(x: float) -> str:
@@ -46,8 +47,9 @@ class GammaExpression:
         if self.rational <= 0:
             raise ValueError("rational factor must be positive")
 
-    @property
+    @cached_property
     def value(self) -> float:
+        """The constant as a float, computed once per expression."""
         log = (
             math.log(float(self.rational))
             + float(self.two_exp) * math.log(2.0)

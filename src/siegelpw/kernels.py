@@ -26,6 +26,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -119,8 +120,13 @@ def _validate_dimension(n: int) -> None:
 
 
 def kernel_constant(kid: KernelId, n: int) -> GammaExpression:
-    """Exact normalization constant of the kernel in lateral dimension ``n``."""
+    """Exact normalization constant of the kernel in lateral dimension ``n``, cached."""
     _validate_dimension(n)
+    return _kernel_constant(kid, n)
+
+
+@lru_cache(maxsize=512)
+def _kernel_constant(kid: KernelId, n: int) -> GammaExpression:
     if isinstance(kid, BallDirichlet):
         return ball_dirichlet_constant(n)
     weight = sp.spectral_weight(kid, n)
@@ -383,9 +389,10 @@ def reproducing_check(
     ``<K(., omega0), K(., zeta)> = K(zeta, omega0)`` in the kernel's space.
 
     ``method='spectral'`` pairs the two slice transforms on the spectral
-    side (closed-form Laplace pieces; node doubling only for the logarithmic
-    family); ``method='quadrature'`` takes the chart-quadrature inner product
-    (``rules`` defaults to :data:`KERNEL_QUADRATURE_RULES`).
+    side in closed form (Laplace pieces, or for the logarithmic family a
+    generalized Frullani integral); ``method='quadrature'`` takes the
+    chart-quadrature inner product (``rules`` defaults to
+    :data:`KERNEL_QUADRATURE_RULES`).
     """
     if isinstance(kid, BallDirichlet):
         raise InvalidParameterError("the reproducing check runs on half-space kernels")

@@ -12,8 +12,9 @@ space as ``f ↦ ⟨f, v(λ)⟩ e_0``, so the field is stored through its vector
 * weighted spectral norms and pairings (:func:`l2nu_norm_sq`,
   :func:`l2nu_inner_product`) and synthesis back to the domain
   (:func:`synthesize`, :func:`synthesize_dirichlet`): every frequency
-  integral is a sum of closed-form Laplace pieces; node doubling only for
-  the logarithmic family, whose pieces diverge one by one at frequency 0;
+  integral is in closed form, a sum of Laplace pieces, or for the
+  logarithmic family, whose pieces diverge one by one at frequency 0, a
+  generalized Frullani integral of its four-exponential bracket;
 * one descriptor per holomorphic space (:class:`Hardy`, :class:`Bergman`,
   :class:`WeightedDirichlet`, :class:`DruryArveson`, :class:`Dirichlet`),
   which also names the space's reproducing kernel in
@@ -33,7 +34,8 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, reduce
+from fractions import Fraction
+from functools import cached_property, lru_cache, reduce
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
@@ -213,11 +215,14 @@ class _Piece:
     amp: complex
 
 
+def _rate(point, anchor) -> complex:
+    """Twice the pairing of ``point`` against ``anchor``, a decay rate."""
+    return complex(*pairing_parts(point.z, point.t, point.h, anchor))
+
+
 def _phase_piece(power: float, amp: complex, point, anchor) -> _Piece:
-    """The piece ``amp * mu^power * e^(-mu * 2q(point, anchor))``: the rate
-    is twice the pairing."""
-    re, im = pairing_parts(point.z, point.t, point.h, anchor)
-    return _Piece(power, complex(re, im), complex(amp))
+    """The piece ``amp * mu^power * e^(-mu * 2q(point, anchor))``."""
+    return _Piece(power, _rate(point, anchor), complex(amp))
 
 
 def _check_piece(piece: _Piece) -> None:
@@ -243,9 +248,55 @@ def _laplace_sum(pieces: Sequence[_Piece]) -> complex:
     return total
 
 
+#: Signs of a logarithmic field's bracket of four exponentials: they sum to
+#: 0, and where the bracket vanishes identically rates 1 and 3, 2 and 4 agree.
+_BRACKET_SIGNS = (1.0, -1.0, -1.0, 1.0)
+
+
+def _bracket_integral(power: int | float, rates: Sequence[complex]) -> complex:
+    """``∫_0^∞ mu^power * sum_k c_k e^(-r_k mu) dmu`` over the bracket signs
+    ``c_k``, on the principal branch (``Re r_k > 0``).  The caller checks
+    that the bracket vanishes at frequency 0 to an order that makes it
+    converge, and passes an integer power as an int, built from the integer
+    orders and weight: a float one ulp off a pole of Gamma would cancel
+    catastrophically.
+
+    At ``power = -1 - N`` this is ``sum_k c_k (-r_k)^N / N! * (H_N - log
+    r_k)``, ``H_N`` the harmonic number (generalized Frullani integral,
+    Gradshteyn–Ryzhik 3.434); at any other power ``Gamma(power + 1) * sum_k
+    c_k r_k^-(power + 1)``, continued analytically below -1.  Summing
+    ``(t_1 + t_3) + (t_2 + t_4)`` makes pairwise equal rates give exactly 0.
+    """
+    if isinstance(power, int) and power <= -1:
+        order = -1 - power
+        harmonic = sum(1.0 / k for k in range(1, order + 1))
+        scale = 1.0 / math.factorial(order)
+        terms = [c * scale * (-r) ** order * (harmonic - cmath.log(r)) for c, r in zip(_BRACKET_SIGNS, rates)]
+    else:
+        gamma = math.gamma(power + 1)
+        terms = [c * gamma * r ** -(power + 1) for c, r in zip(_BRACKET_SIGNS, rates)]
+    return (terms[0] + terms[2]) + (terms[1] + terms[3])
+
+
 # --------------------------------------------------------------------------
 # profile families
 # --------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=512)
+def _kernel_normalization(n: int, m: int, nu: float) -> GammaExpression:
+    """:attr:`KernelProfile.normalization`, cached per parameters: the
+    reciprocal norm-identity constant, and 1 at the boundary limit."""
+    if abs(2 * m + nu + 1) < 1e-12:
+        return GammaExpression()
+    return paley_wiener_constant(n, m, nu).reciprocal()
+
+
+@lru_cache(maxsize=512)
+def _log_normalization(n: int, m: int) -> GammaExpression:
+    """``2^k / Gamma(k)``, ``k = 2m - n - 1``, cached per parameters."""
+    k = 2 * m - n - 1
+    return GammaExpression(two_exp=Fraction(k), gamma_den=(float(k),))
 
 
 @dataclass(frozen=True)
@@ -286,14 +337,8 @@ class KernelProfile:
         if not self.base.h > 0:
             raise InvalidParameterError("base point must lie in the open domain")
 
-    @property
-    def _boundary_limit(self) -> bool:
-        return abs(2 * self.m + self.nu + 1) < 1e-12
-
     def normalization_expression(self) -> GammaExpression:
-        if self._boundary_limit:
-            return GammaExpression()
-        return paley_wiener_constant(self.n, self.m, self.nu).reciprocal()
+        return _kernel_normalization(self.n, self.m, self.nu)
 
     @cached_property
     def normalization(self) -> float:
@@ -319,9 +364,6 @@ class KernelProfile:
         return radial * _conjugate_p_values(truncation, mu, self.base)
 
     # -- synthesis ---------------------------------------------------------
-
-    def synthesis_decay(self, h: float) -> float:
-        return h + self.base.h
 
     def synthesis_pieces(self, coords) -> list[_Piece]:
         return [_phase_piece(self.n + self.nu + 1.0, complex(self.normalization), coords, self.base)]
@@ -354,10 +396,7 @@ class DirichletKernelProfile:
             raise InvalidParameterError("base point must lie in the open domain")
 
     def normalization_expression(self) -> GammaExpression:
-        from fractions import Fraction
-
-        k = 2 * self.m - self.n - 1
-        return GammaExpression(two_exp=Fraction(k), gamma_den=(float(k),))
+        return _log_normalization(self.n, self.m)
 
     @cached_property
     def normalization(self) -> float:
@@ -385,9 +424,6 @@ class DirichletKernelProfile:
         return self.normalization * mu ** (-self.n - 1.0) * rows
 
     # -- synthesis ---------------------------------------------------------
-
-    def synthesis_decay(self, h: float) -> float:
-        return min(h, 1.0) + min(self.base.h, 1.0)
 
     def synthesis_pieces(self, coords) -> list[_Piece]:
         raise DivergentIntegralError(
@@ -476,11 +512,6 @@ class FiniteProfile:
 
     # -- synthesis ---------------------------------------------------------
 
-    def synthesis_decay(self, h: float) -> float:
-        if not self.terms:
-            return h + 1.0
-        return h + min(term.decay for term in self.terms)
-
     def synthesis_pieces(self, coords) -> list[_Piece]:
         return [
             _phase_piece(
@@ -529,9 +560,6 @@ class DerivedProfile:
         mu = np.asarray(mu, dtype=float)
         return self._sign * mu**self.order * self.base.coefficient_values(truncation, mu)
 
-    def synthesis_decay(self, h: float) -> float:
-        return self.base.synthesis_decay(h)
-
     def synthesis_pieces(self, coords) -> list[_Piece]:
         return [
             _Piece(piece.power + self.order, piece.rate, self._sign * piece.amp)
@@ -563,46 +591,10 @@ def spectral_derivative(profile: SpectralProfile, order: int) -> SpectralProfile
 # --------------------------------------------------------------------------
 
 
-#: Node count of the logarithmic family's half-line rule; the value is
-#: checked against the rule with twice as many nodes.
-_HALFLINE_NODES = 160
-#: Relative tolerance of that doubling check, for pairings and for synthesis.
-_PAIRING_RTOL = 1e-9
-_SYNTHESIS_RTOL = 1e-8
-
-
-def _numeric_halfline(
-    values: Callable[[np.ndarray], np.ndarray], scale: float, rtol: float, exponent: float = 0.0
-) -> complex:
-    """Integrate a decaying integrand over (0, ∞) with density-free weights,
-    estimating resolution by node-count doubling.  Only the logarithmic
-    family comes here: its pieces diverge one by one at frequency 0.  An
-    integrand that behaves like ``mu^exponent`` at 0 (``-1 < exponent <= 0``)
-    takes the Gauss–Laguerre rule of that weight, which absorbs the power."""
-    if scale <= 0.0:
-        raise DivergentIntegralError(
-            f"frequency integral diverges at infinity (decay rate {scale} <= 0)"
-        )
-
-    def run(k: int) -> complex:
-        rule = _quad.gauss_laguerre(exponent, scale, k)
-        return complex(np.sum(rule.plain_weights() * values(rule.nodes)))
-
-    coarse = run(_HALFLINE_NODES)
-    fine = run(2 * _HALFLINE_NODES)
-    if abs(fine - coarse) > rtol * abs(fine):
-        raise UnderResolvedError(
-            "frequency quadrature unresolved: node-count doubling moved the value "
-            f"by {abs(fine - coarse):.3e} (|value| ~ {abs(fine):.3e})"
-        )
-    return fine
-
-
 def l2nu_norm_sq(profile: SpectralProfile, nu: float) -> float:
     """Squared spectral norm: the diagonal of :func:`l2nu_inner_product`, the
     frequency integral of the squared vector length against ``mu^(n-nu-1)``,
-    normalized by (2π)^-(n+1).  Closed-form Laplace pieces; node doubling
-    only for the logarithmic family.
+    normalized by (2π)^-(n+1), in closed form.
     """
     return float(l2nu_inner_product(profile, profile, nu).real)
 
@@ -649,13 +641,12 @@ def _cross_pieces(f: SpectralProfile, g: SpectralProfile) -> list[_Piece]:
     )
 
 
-def _dirichlet_cross_values(f: DirichletKernelProfile, g: DirichletKernelProfile, mu):
-    """The node-wise pairing of two center-subtracted logarithmic fields: four
-    pairing exponentials among the two bases and the center."""
+def _log_pair_rates(f: DirichletKernelProfile, g: DirichletKernelProfile) -> list[complex]:
+    """The rates r_k of the node-wise pairing ``a_f a_g mu^(-2n-2) sum_k c_k
+    e^(-r_k mu)`` of two logarithmic fields: g's base and the center against
+    f's base and the center."""
     fb, gb, center = f.base, g.base, base_point(f.n)
-    pairs = ((1.0, gb, fb), (-1.0, gb, center), (-1.0, center, fb), (1.0, center, center))
-    bracket = sum(sign * np.exp(-mu * _pairing_form(a.z, a.t, a.h, b)) for sign, a, b in pairs)
-    return f.normalization * g.normalization * mu ** (-2.0 * f.n - 2.0) * bracket
+    return [_rate(a, b) for a, b in ((gb, fb), (gb, center), (center, fb), (center, center))]
 
 
 def l2nu_inner_product(f_profile: SpectralProfile, g_profile: SpectralProfile, nu: float) -> complex:
@@ -663,7 +654,8 @@ def l2nu_inner_product(f_profile: SpectralProfile, g_profile: SpectralProfile, n
     the holomorphic-space inner product ⟨F, G⟩ of the syntheses of
     ``f_profile`` and ``g_profile`` (first slot linear, second conjugated),
     up to the space's norm-identity constant.  Closed-form Laplace pieces;
-    node doubling only for the logarithmic family.
+    the pairing of two logarithmic fields integrates their bracket in closed
+    form (:func:`_bracket_integral`).
     """
     f_base, f_order = _unwrap_derived(f_profile)
     g_base, g_order = _unwrap_derived(g_profile)
@@ -680,26 +672,16 @@ def l2nu_inner_product(f_profile: SpectralProfile, g_profile: SpectralProfile, n
         # order in the bases' lateral product, and to second order when that
         # product is zero.
         vanish = 2.0 if complex(np.vdot(g_base.base.z, f_base.base.z)) == 0.0 else 1.0
-        small_power = weight_power + extra - 2.0 * n - 2.0 + vanish
+        power = weight_power + extra - 2.0 * n - 2.0
+        small_power = power + vanish
         if small_power <= -1.0:
             raise DivergentIntegralError(
                 f"spectral pairing diverges at frequency 0 for weight {nu}"
             )
-        decay = min(
-            f_base.base.h + g_base.base.h,
-            f_base.base.h + 1.0,
-            g_base.base.h + 1.0,
-            2.0,
-        )
-        value = _numeric_halfline(
-            lambda mu: sign
-            * mu ** (weight_power + extra)
-            * _dirichlet_cross_values(f_base, g_base, mu),
-            decay,
-            _PAIRING_RTOL,
-            min(small_power, 0.0),
-        )
-        return _plancherel(n) * value
+        if float(nu).is_integer():
+            power = int(extra - n - 3 - nu)  # the same power, as an exact int
+        amp = sign * f_base.normalization * g_base.normalization
+        return _plancherel(n) * amp * _bracket_integral(power, _log_pair_rates(f_base, g_base))
     if isinstance(f_base, FiniteProfile) and isinstance(g_base, KernelProfile):
         return complex(np.conj(l2nu_inner_product(g_profile, f_profile, nu)))
     pieces = [
@@ -718,9 +700,9 @@ def synthesize(profile: SpectralProfile, point: SiegelPoint | HorocyclicCoordina
     """Value at an interior point of the holomorphic function carried by the
     field: the frequency integral of ``e^(-h*mu)`` times the field's trace
     against the adjoint representation operator, against ``mu^n``, normalized
-    by (2π)^-(n+1).  Closed-form Laplace pieces; node doubling only for the
-    logarithmic family, whose integral diverges at frequency 0 here and goes
-    to :func:`synthesize_dirichlet`.
+    by (2π)^-(n+1).  Closed-form Laplace pieces; the logarithmic family's
+    integral diverges at frequency 0 here and goes to
+    :func:`synthesize_dirichlet`.
     """
     coords = _interior(point, "synthesis")
     n = profile.n
@@ -741,23 +723,25 @@ def synthesize_dirichlet(
 
     Integrates ``mu^n`` times the difference between the field's weighted
     trace at the target point and at the distinguished center, which cancels
-    the frequency-zero divergence of the logarithmic-kernel family; at the
-    center itself the integrand vanishes identically and the constant is
-    returned exactly.  The integral is a half-line rule checked by node
-    doubling, the one numeric frequency integral of the module.
+    the frequency-zero divergence of the logarithmic-kernel family.  For that
+    family the integral is the closed form of :func:`_bracket_integral` over
+    four rates, the point and the center against the base and against the
+    center; at the center itself the rates coincide in pairs, so the
+    constant is returned exactly.  Kernel and finite fields converge at the
+    point and at the center separately, as closed-form Laplace pieces.
     """
     coords = _interior(point, "synthesis")
     n = profile.n
-    z_components = list(coords.z)
-    center_z = [np.zeros_like(zj) for zj in coords.z]
-    scale = min(profile.synthesis_decay(coords.h), profile.synthesis_decay(1.0))
-
-    def integrand(mu: np.ndarray) -> np.ndarray:
-        at_point = np.exp(-coords.h * mu) * profile.trace_values(mu, z_components, coords.t)
-        at_center = np.exp(-mu) * profile.trace_values(mu, center_z, 0.0)
-        return mu**n * (at_point - at_center)
-
-    return _plancherel(n) * _numeric_halfline(integrand, scale, _SYNTHESIS_RTOL) + constant
+    center = base_point(n)
+    base, order = _unwrap_derived(profile)
+    if isinstance(base, DirichletKernelProfile):
+        rates = [_rate(a, b) for a in (coords, center) for b in (base.base, center)]
+        amp = (-1.0 if order % 2 else 1.0) * base.normalization
+        value = amp * _bracket_integral(order - 1, rates)
+    else:
+        at_center = [_Piece(p.power, p.rate, -p.amp) for p in profile.synthesis_pieces(center)]
+        value = _laplace_sum(profile.synthesis_pieces(coords) + at_center)
+    return _plancherel(n) * value + constant
 
 
 # --------------------------------------------------------------------------
@@ -1093,9 +1077,10 @@ def spectral_weight(tag: SpaceTag, n: int) -> float:
     return _tag_data(tag, n)[2]
 
 
+@lru_cache(maxsize=512)
 def norm_identity_constant(tag: SpaceTag, n: int) -> GammaExpression:
     """Constant relating the tagged squared space norm (its derivative part)
-    to the weighted squared spectral norm."""
+    to the weighted squared spectral norm; cached per ``(tag, n)``."""
     _, order, weight, _ = _tag_data(tag, n)
     if isinstance(tag, Hardy):
         return GammaExpression()

@@ -262,6 +262,17 @@ class TestAnchorFrameRows:
         assert sum(rows[check_id]["seconds"] for check_id in ids) < 2.0
 
 
+    def test_raised_rows_keep_the_layout_label(self, tmp_path):
+        # Both rows raise UnderResolvedError at n = 2 on seed 1; the label of
+        # the grid they ran on follows the exception.
+        _, doc = run_verify(tmp_path, "--suite", "paley-wiener", "--n", "2", "--seed", "1")
+        rows = {row["id"]: row for row in doc["checks"]}
+        for check_id in ("pw-endpoint-identity", "pw-volume-identity-finite"):
+            rules = rows[check_id]["rules"]
+            assert rules.startswith("raised ") and not rows[check_id]["passed"]
+            assert "; chart frame " in rules
+
+
 OMEGA = {"z": [[0.3, 0.1]], "t": -0.2, "h": 0.8}
 ZETA = {"z": [[-0.1, 0.4]], "t": 0.5, "h": 1.3}
 POINTS = ["--omega", json.dumps(OMEGA), "--zeta", json.dumps(ZETA)]

@@ -285,6 +285,17 @@ class TestOneDescriptor:
         with pytest.raises(InvalidParameterError):
             kr.kernel_profile(descriptor, base_point(n))
 
+    def test_kernel_constant_is_cached_per_descriptor_and_dimension(self):
+        kid = kr.Bergman(0.75)
+        first = kr.kernel_constant(kid, 2)
+        hits = kr._kernel_constant.cache_info().hits
+        assert kr.kernel_constant(kr.Bergman(0.75), 2) is first
+        assert kr._kernel_constant.cache_info().hits == hits + 1
+        fresh = kr._kernel_constant.__wrapped__(kid, 2)
+        assert fresh == first and fresh.value == first.value
+        with pytest.raises(InvalidParameterError):
+            kr.kernel_constant(kid, True)
+
     def test_kernel_ids_are_the_space_descriptors(self):
         assert kr.Szego is sp.Hardy
         assert kr.Bergman is sp.Bergman

@@ -10,7 +10,8 @@ import cmath
 import json
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,13 +21,14 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import siegelpw.bargmann as bg
+import siegelpw.cli as cli
 import siegelpw.fock as fk
 import siegelpw.heisenberg as hg
 import siegelpw.kernels as kr
 import siegelpw.quadrature as quad
 import siegelpw.spectral as sp
 from siegelpw.errors import DivergentIntegralError, InvalidParameterError
-from siegelpw.gammaexpr import paley_wiener_constant
+from siegelpw.gammaexpr import GammaExpression, paley_wiener_constant
 from siegelpw.siegel import (
     Composition,
     Dilation,
@@ -125,7 +127,11 @@ def quadrature_chart_values(profile, z_components, t, h, node_count):
     n = profile.n
     base = profile.base if isinstance(profile, sp.DerivedProfile) else profile
     subtracted = isinstance(base, sp.DirichletKernelProfile)
-    scale = min(profile.synthesis_decay(0.0), profile.synthesis_decay(1.0))
+    # The slowest decay of the integrand at height 0.
+    if isinstance(base, sp.FiniteProfile):
+        scale = min((term.decay for term in base.terms), default=1.0)
+    else:
+        scale = min(base.base.h, 1.0) if subtracted else base.base.h
     exponent = 0.0 if subtracted else max(n + profile.trace_mu_power, 0.0)
     rule = quad.gauss_laguerre(exponent, scale, node_count)
     total = 0.0
@@ -168,7 +174,8 @@ def pairing_diagonal_density(profile, mu):
     bracket), evaluated at the frequencies ``mu``."""
     base, order = sp._unwrap_derived(profile)
     if isinstance(base, sp.DirichletKernelProfile):
-        values = sp._dirichlet_cross_values(base, base, mu)
+        bracket = sum(c * np.exp(-rate * mu) for c, rate in zip(sp._BRACKET_SIGNS, sp._log_pair_rates(base, base)))
+        values = base.normalization**2 * mu ** (-2.0 * base.n - 2.0) * bracket
     else:
         values = sum(
             piece.amp * mu**piece.power * np.exp(-piece.rate * mu)
@@ -259,8 +266,8 @@ class TestSpectralNorm:
 
     def test_weight_shift_of_derived_field_is_exact(self):
         # Multiplying the field by mu^k and shifting the weight by 2k feeds
-        # the identical rule exponent to the same cached quadrature, so the
-        # norms agree bitwise, not merely to rounding.
+        # the identical piece powers to the closed form, so the norms agree
+        # bitwise, not merely to rounding.
         base = sp.KernelProfile(1, -1.5, point([0.4 - 0.2j], 0.6, 1.25), 1)
         reference = sp.l2nu_norm_sq(base, -1.5)
         for k in (1, 2):
@@ -500,7 +507,7 @@ class TestPairings:
     @pytest.mark.parametrize("nu", [-2.9, -2.5, -2.2, -2.05])
     def test_log_norm_below_the_endpoint_weight(self, nu):
         # Above the endpoint weight the integrand behaves like mu^p at 0 with
-        # -1 < p < 0; the half-line rule of that weight absorbs the power.
+        # -1 < p < 0; the closed form continues Gamma analytically there.
         # Reference: QUADPACK's algebraic-weight rule on (0, 1] and plain
         # adaptive quadrature beyond, with expm1 in the four-term bracket.
         profile = sp.DirichletKernelProfile(1, 2, point([0.3], 0.5, 1.2))
@@ -636,6 +643,149 @@ class TestCenterSubtractedSynthesis:
         profile = sp.DirichletKernelProfile(1, 2, point([0.3], 0.5, 1.2))
         with pytest.raises(InvalidParameterError):
             sp.synthesize_dirichlet(profile, chart([0.2], 0.1, 0.0))
+
+
+BRACKET_SIGNS = (1.0, -1.0, -1.0, 1.0)
+CENTER_1 = chart([0.0], 0.0, 1.0)
+
+
+def bracket_reference(power, rates, vanish):
+    """The integral over (0, ∞) of mu^power sum_k c_k e^(-r_k mu), c = (1,
+    -1, -1, 1), by QUADPACK.  The bracket vanishes at 0 to order ``vanish``,
+    so the bracket over mu^vanish is smooth: below mu = 1/4 it is summed from
+    its Taylor series without the vanishing coefficients, so nothing cancels
+    there.  The algebraic-weight rule takes mu^(power + vanish) on (0, 1]
+    and plain adaptive quadrature the rest."""
+    moments = [sum(c * r**j for c, r in zip(BRACKET_SIGNS, rates)) for j in range(60)]
+
+    def smooth(mu):
+        if mu < 0.25:
+            return sum((-1) ** j * mu ** (j - vanish) / math.factorial(j) * moments[j] for j in range(vanish, 60))
+        return sum(c * cmath.exp(-r * mu) for c, r in zip(BRACKET_SIGNS, rates)) / mu**vanish
+
+    weight = power + vanish
+    parts = []
+    for part in (lambda v: v.real, lambda v: v.imag):
+        near = integrate.quad(
+            lambda mu: part(smooth(mu)), 0.0, 1.0, weight="alg", wvar=(weight, 0.0), epsabs=0.0, epsrel=1e-13, limit=200
+        )[0]
+        far = integrate.quad(lambda mu: part(smooth(mu)) * mu**weight, 1.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        parts.append(near + far)
+    return complex(*parts)
+
+
+def log_pair_reference(f_base, g_base, nu, f_order=0, g_order=0):
+    """The spectral pairing of two order-2 logarithmic fields at n = 1 (after
+    the given frequency powers) from test-side rates and amplitudes."""
+    fb, gb = psi(f_base), psi(g_base)
+    rates = [pairing2(gb, fb), pairing2(gb, CENTER_1), pairing2(CENTER_1, fb), pairing2(CENTER_1, CENTER_1)]
+    extra = f_order + g_order
+    vanish = 2 if complex(fb.z[0] * np.conj(gb.z[0])) == 0.0 else 1
+    power = (1.0 - nu - 1.0) + extra - 4.0
+    amp = (-1.0) ** extra * dotted_log_amplitude(1, 2) ** 2 / TWO_PI**2
+    return amp * bracket_reference(power, rates, vanish)
+
+
+class TestLogClosedForms:
+    """The logarithmic family's frequency integrals in closed form, against
+    QUADPACK on the same integrands."""
+
+    GENERIC_F = point([0.3], 0.5, 1.2)
+    GENERIC_G = point([-0.2 + 0.1j], -0.4, 0.9)
+
+    @pytest.mark.parametrize(
+        "f_base, g_base, nu, f_order, g_order",
+        [
+            pytest.param(GENERIC_F, GENERIC_G, -3.0, 0, 0, id="power-minus-1"),
+            pytest.param(point([0.0], 0.0, 1.7), point([0.0], 0.8, 0.6), -2.0, 0, 0, id="power-minus-2-axis-bases"),
+            pytest.param(GENERIC_F, GENERIC_G, -2.5, 0, 0, id="power-minus-1.5"),
+            pytest.param(GENERIC_F, GENERIC_G, -2.1, 0, 0, id="power-minus-1.9"),
+            pytest.param(GENERIC_F, GENERIC_G, -3.0, 2, 1, id="power-plus-2-derived"),
+        ],
+    )
+    def test_pairing_matches_quadpack(self, f_base, g_base, nu, f_order, g_order):
+        f = sp.spectral_derivative(sp.DirichletKernelProfile(1, 2, f_base), f_order)
+        g = sp.spectral_derivative(sp.DirichletKernelProfile(1, 2, g_base), g_order)
+        expected = log_pair_reference(f_base, g_base, nu, f_order, g_order)
+        assert abs(sp.l2nu_inner_product(f, g, nu) - expected) <= 1e-12 * abs(expected)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_derived_synthesis_matches_quadpack(self, order):
+        # The order-k synthesis integrates mu^(k-1) times the bracket of the
+        # target and the center against the base and the center.
+        base = point([0.3 - 0.2j], 0.4, 1.3)
+        target = chart([0.5 + 0.1j], -0.7, 0.6)
+        profile = sp.spectral_derivative(sp.DirichletKernelProfile(1, 2, base), order)
+        b = psi(base)
+        rates = [pairing2(target, b), pairing2(target, CENTER_1), pairing2(CENTER_1, b), pairing2(CENTER_1, CENTER_1)]
+        amp = (-1.0) ** order * dotted_log_amplitude(1, 2) / TWO_PI**2
+        expected = amp * bracket_reference(order - 1.0, rates, 1)
+        assert abs(sp.synthesize_dirichlet(profile, target) - expected) <= 1e-12 * abs(expected)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_center_gives_the_constant_for_any_base(self, n):
+        # At the center the four rates agree in pairs, so every base and
+        # every derivative order returns the constant bit for bit.
+        rng = np.random.default_rng(40 + n)
+        for _ in range(40):
+            z = rng.normal(0.0, 0.7, n) + 1j * rng.normal(0.0, 0.7, n)
+            base = point(z, rng.normal(0.0, 0.7), rng.uniform(0.3, 2.0))
+            offset = complex(*rng.normal(size=2))
+            for order in (0, 1, 2):
+                profile = sp.spectral_derivative(sp.DirichletKernelProfile(n, 2, base), order)
+                assert sp.synthesize_dirichlet(profile, base_point(n), offset) == offset
+
+    @pytest.mark.parametrize("offset", [1e-2, 1e-4, 1e-6])
+    def test_base_near_the_center(self, offset):
+        kid = kr.DirichletLog(2, dotted=True)
+        near = point([offset * (0.6 - 0.3j)], 0.5 * offset, 1.0 + 0.8 * offset)
+        other = point([0.3 - 0.2j], 0.4, 1.3)
+        assert kr.reproducing_check(kid, other, near, method="spectral") <= 1e-8
+        assert kr.reproducing_check(kid, near, other, method="spectral") <= 1e-8
+        for at, base in ((other, near), (near, other)):
+            expected = kr.kernel_eval(kid, at, base)
+            value = sp.synthesize_dirichlet(sp.DirichletKernelProfile(1, 2, base), at)
+            assert abs(value - expected) <= 1e-8 * abs(expected)
+
+    def test_bases_close_to_each_other(self):
+        kid = kr.DirichletLog(2, dotted=True)
+        first = point([0.3 - 0.2j], 0.4, 1.3)
+        second = point([0.3 - 0.2j + 1e-6 * (0.6 + 0.8j)], 0.4 + 0.5e-6, 1.3 - 0.3e-6)
+        assert kr.reproducing_check(kid, first, second, method="spectral") <= 1e-8
+        assert kr.reproducing_check(kid, second, first, method="spectral") <= 1e-8
+        expected = kr.kernel_eval(kid, second, first)
+        value = sp.synthesize_dirichlet(sp.DirichletKernelProfile(1, 2, first), second)
+        assert abs(value - expected) <= 1e-8 * abs(expected)
+
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            sp.KernelProfile(1, 0.0, GENERIC_BASE_1),
+            sp.KernelProfile(1, -1.5, GENERIC_BASE_1, 1),
+            finite_two_slot(),
+            sp.FiniteProfile(1, ()),
+            sp.DirichletKernelProfile(1, 2, GENERIC_BASE_1),
+            sp.DirichletKernelProfile(2, 2, GENERIC_BASE_2),
+            sp.DerivedProfile(sp.KernelProfile(1, 0.0, GENERIC_BASE_1), 1),
+            sp.DerivedProfile(finite_two_slot(), 2),
+            sp.DerivedProfile(sp.DirichletKernelProfile(1, 2, GENERIC_BASE_1), 1),
+        ],
+        ids=["kernel", "kernel-m1", "finite", "finite-empty", "log", "log-n2", "derived-kernel", "derived-finite", "derived-log"],
+    )
+    def test_synthesis_accepts_every_family(self, profile):
+        # The center-subtracted synthesis is the closed-form chart value at
+        # the target less the one at the center, plus the constant.
+        n = profile.n
+        target = chart([0.5 + 0.1j, -0.2j][:n], -0.7, 0.6)
+        closed = sp.ProfileFunction(profile)
+        center = [np.asarray(0.0j)] * n
+        expected = (
+            complex(closed.chart_values(list(target.z), target.t, target.h))
+            - complex(closed.chart_values(center, 0.0, 1.0))
+            + (0.3 - 0.1j)
+        )
+        value = sp.synthesize_dirichlet(profile, target, 0.3 - 0.1j)
+        assert abs(value - expected) <= 1e-12 * max(abs(expected), 1.0)
 
 
 class TestProfileFunction:
@@ -1384,3 +1534,55 @@ class TestProfileValidation:
             )
         with pytest.raises(InvalidParameterError):
             sp.DerivedProfile(finite_two_slot(), -2)
+
+
+class TestNoHalfLineRule:
+    """No frequency integral of the package reaches the Gauss–Laguerre rule."""
+
+    def test_log_family_never_builds_a_laguerre_rule(self, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("gauss_laguerre was called")
+
+        monkeypatch.setattr(quad, "gauss_laguerre", refuse)
+        f = sp.DirichletKernelProfile(2, 2, GENERIC_BASE_2)
+        g = sp.DirichletKernelProfile(2, 2, point([0.1, 0.2 - 0.1j], -0.3, 0.7))
+        assert sp.l2nu_inner_product(f, g, -4.0) != 0.0
+        assert sp.l2nu_norm_sq(sp.spectral_derivative(f, 1), -2.0) > 0.0
+        assert sp.synthesize_dirichlet(f, chart([0.1, -0.2j], 0.3, 0.9), 0.5) != 0.5
+        assert kr.reproducing_check(kr.DirichletLog(2), GENERIC_BASE_1, point([0.4j], 0.1, 0.6), method="spectral") < 1e-10
+        out = tmp_path / "synth.json"
+        profile = json.dumps(sp.profile_to_json(sp.DirichletKernelProfile(1, 2, GENERIC_BASE_1)))
+        zeta = json.dumps({"z": [[-0.1, 0.4]], "t": 0.5, "h": 1.3})
+        assert cli.main(["synth", "--profile", profile, "--zeta", zeta, "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["value"]) == 2
+
+
+class TestConstantCaches:
+    """Gamma constants are cached per parameters, immutable, and equal to a
+    fresh build bit for bit."""
+
+    def test_norm_identity_constant_is_cached(self):
+        tag = sp.WeightedDirichlet(-1.75, 2)
+        first = sp.norm_identity_constant(tag, 1)
+        hits = sp.norm_identity_constant.cache_info().hits
+        assert sp.norm_identity_constant(sp.WeightedDirichlet(-1.75, 2), 1) is first
+        assert sp.norm_identity_constant.cache_info().hits == hits + 1
+        fresh = sp.norm_identity_constant.__wrapped__(tag, 1)
+        assert fresh == first and fresh.value == first.value
+
+    def test_profile_normalizations_are_shared_across_base_points(self):
+        kernel = [sp.KernelProfile(2, -2.5, base, 2) for base in (base_point(2), GENERIC_BASE_2)]
+        assert kernel[0].normalization_expression() is kernel[1].normalization_expression()
+        assert kernel[1].normalization == paley_wiener_constant(2, 2, -2.5).reciprocal().value
+        log = [sp.DirichletKernelProfile(1, 3, base) for base in (base_point(1), GENERIC_BASE_1)]
+        assert log[0].normalization_expression() is log[1].normalization_expression()
+        assert log[1].normalization == GammaExpression(two_exp=Fraction(4), gamma_den=(4.0,)).value  # k = 2m - n - 1
+
+    def test_cached_constants_are_immutable(self):
+        constant = sp.norm_identity_constant(sp.Dirichlet(2), 1)
+        value = constant.value
+        with pytest.raises(FrozenInstanceError):
+            constant.value = 2.0 * value
+        with pytest.raises(FrozenInstanceError):
+            constant.two_exp = Fraction(5)
+        assert sp.norm_identity_constant(sp.Dirichlet(2), 1).value == value
