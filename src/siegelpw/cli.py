@@ -16,14 +16,15 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
-import threading
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -91,28 +92,21 @@ class SuiteConfig:
             raise InvalidParameterError(
                 f"the volume-weight flag needs nu > -1, got {self.nu}"
             )
-        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
-            raise InvalidParameterError(
-                f"derivative order must be a positive integer, got {self.m!r}"
-            )
+        if not _is_count(self.m):
+            raise InvalidParameterError(f"derivative order must be a positive integer, got {self.m!r}")
         if self.tol is not None and not self.tol > 0.0:
             raise InvalidParameterError(f"tolerance must be positive, got {self.tol!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not (
-            0 <= self.seed < 2**64
-        ):
-            raise InvalidParameterError(
-                f"seed must be an unsigned 64-bit integer, got {self.seed!r}"
-            )
-        if not isinstance(self.pairs, int) or isinstance(self.pairs, bool) or self.pairs < 1:
-            raise InvalidParameterError(
-                f"pair count must be a positive integer, got {self.pairs!r}"
-            )
-        if self.jobs is not None and (
-            not isinstance(self.jobs, int) or isinstance(self.jobs, bool) or self.jobs < 1
-        ):
-            raise InvalidParameterError(
-                f"worker count must be a positive integer, got {self.jobs!r}"
-            )
+        if not (_is_count(self.seed, 0) and self.seed < 2**64):
+            raise InvalidParameterError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        if not _is_count(self.pairs):
+            raise InvalidParameterError(f"pair count must be a positive integer, got {self.pairs!r}")
+        if self.jobs is not None and not _is_count(self.jobs):
+            raise InvalidParameterError(f"worker count must be a positive integer, got {self.jobs!r}")
+
+
+def _is_count(value, low: int = 1) -> bool:
+    """An int, not a bool, of at least ``low``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
 
 
 def _check_rng(cfg: SuiteConfig, check_id: str) -> np.random.Generator:
@@ -122,30 +116,23 @@ def _check_rng(cfg: SuiteConfig, check_id: str) -> np.random.Generator:
     )
 
 
-#: The layout label of the chart row running on this thread (one row at a
-#: time per pool thread), so that a row that raises still names its axes.
-_row_layout = threading.local()
-
-
 def _chart_rules(
-    cfg: SuiteConfig, functions: Sequence, reinforced: bool = False
+    cfg: SuiteConfig, functions: Sequence, preset: sp.ChartNormRules
 ) -> tuple[sp.ChartNormRules, str]:
     """The layout of a chart row over ``functions`` and the label of the axes
-    a pass uses: ``ChartNormRules()``, or ``KERNEL_QUADRATURE_RULES`` for
-    products of slices (``reinforced``).
+    a pass uses: the row's ``preset`` (``ChartNormRules()``, or
+    ``KERNEL_QUADRATURE_RULES`` for products of slices).
 
     ``--fast`` takes ``ChartNormRules.smoke()``.  So does a row at n >= 2
     whose reduced grid keeps an angle axis (a 5-D or 6-D grid); a row whose
     grid reduces to radius, t and height costs the same at every n and keeps
     the n = 1 layout.
     """
-    rules = kr.KERNEL_QUADRATURE_RULES if reinforced else sp.ChartNormRules()
-    layout = sp._chart_layout(functions, cfg.n, None, rules)
+    layout = sp._chart_layout(functions, cfg.n, None, preset)
     if cfg.fast or (cfg.n >= 2 and layout.polar):
-        rules = sp.ChartNormRules.smoke()
-        layout = sp._chart_layout(functions, cfg.n, None, rules)
-    _row_layout.label = layout.label
-    return rules, layout.label
+        preset = sp.ChartNormRules.smoke()
+        layout = sp._chart_layout(functions, cfg.n, None, preset)
+    return preset, layout.label
 
 
 def _rand_interior(rng, n: int, spread: float = 0.7, h_lo: float = 0.3, h_hi: float = 2.0) -> SiegelPoint:
@@ -323,6 +310,13 @@ def _worst_case(cases: Sequence[tuple[float, complex, complex]]) -> tuple[float,
     return worst
 
 
+def _raised(exc: Exception, label: str | None = None) -> CheckData:
+    """The failed row of a check that raised; a chart row adds the label of
+    the layout its pass ran on."""
+    suffix = "" if label is None else f"; {label}"
+    return CheckData(math.nan, math.nan, math.inf, 0.0, rules=f"raised {type(exc).__name__}: {exc}{suffix}")
+
+
 # ---------------------------------------------------------------------------
 # Suite: group
 # ---------------------------------------------------------------------------
@@ -358,25 +352,15 @@ def _check_group_identity_inverse(cfg: SuiteConfig, rng) -> CheckData:
     return CheckData(worst, 0.0, worst, 1e-13)
 
 
-def _check_group_norm_homogeneity(cfg: SuiteConfig, rng) -> CheckData:
+def _check_group_dilation(cfg: SuiteConfig, rng, gauge: Callable, arity: int) -> CheckData:
+    """``gauge`` of ``arity`` elements (the homogeneous norm of one, the
+    distance of two) scales linearly under dilation."""
     cases = []
     for _ in range(min(cfg.pairs, 200)):
-        a = _rand_heisenberg(rng, cfg.n)
+        points = [_rand_heisenberg(rng, cfg.n) for _ in range(arity)]
         delta = float(rng.uniform(0.2, 3.0))
-        lhs = hb.homogeneous_norm(hb.dilate(delta, a))
-        rhs = delta * hb.homogeneous_norm(a)
-        cases.append((_rel(lhs, rhs), lhs, rhs))
-    worst, lhs, rhs = _worst_case(cases)
-    return CheckData(lhs, rhs, worst, 1e-13)
-
-
-def _check_group_distance_dilation(cfg: SuiteConfig, rng) -> CheckData:
-    cases = []
-    for _ in range(min(cfg.pairs, 200)):
-        a, b = _rand_heisenberg(rng, cfg.n), _rand_heisenberg(rng, cfg.n)
-        delta = float(rng.uniform(0.2, 3.0))
-        lhs = hb.distance(hb.dilate(delta, a), hb.dilate(delta, b))
-        rhs = delta * hb.distance(a, b)
+        lhs = gauge(*(hb.dilate(delta, a) for a in points))
+        rhs = delta * gauge(*points)
         cases.append((_rel(lhs, rhs), lhs, rhs))
     worst, lhs, rhs = _worst_case(cases)
     return CheckData(lhs, rhs, worst, 1e-13)
@@ -385,10 +369,6 @@ def _check_group_distance_dilation(cfg: SuiteConfig, rng) -> CheckData:
 # ---------------------------------------------------------------------------
 # Suite: fock
 # ---------------------------------------------------------------------------
-
-
-def _fock_truncation(cfg: SuiteConfig) -> fk.FockTruncation:
-    return fk.FockTruncation(n=cfg.n, max_degree=4)
 
 
 def _fock_gram(trunc: fk.FockTruncation, lam: float, node_count: int) -> np.ndarray:
@@ -405,7 +385,7 @@ def _fock_gram(trunc: fk.FockTruncation, lam: float, node_count: int) -> np.ndar
 
 def _check_fock_pairing(cfg: SuiteConfig, rng) -> CheckData:
     lam = -2.0
-    trunc = _fock_truncation(cfg)
+    trunc = fk.FockTruncation(n=cfg.n, max_degree=4)
     # Each real axis sees polynomials of degree <= 2 * max_degree, which the
     # Gauss-Hermite rule with max_degree + 1 nodes integrates exactly.
     nodes = trunc.max_degree + 1
@@ -526,82 +506,6 @@ def _check_bargmann_projection_tail(cfg: SuiteConfig, rng) -> CheckData:
 # ---------------------------------------------------------------------------
 
 
-def _chart_identity(
-    profile: sp.SpectralProfile, tag: sp.SpaceTag, cfg: SuiteConfig, reinforced: bool = False
-) -> CheckData:
-    """Chart norm of the profile's synthesis against the tag's constant times
-    its weighted spectral norm."""
-    F = sp.ProfileFunction(profile)
-    rules, label = _chart_rules(cfg, [F], reinforced)
-    volume = sp.space_norm_sq(F, tag, rules)
-    weight = sp.spectral_weight(tag, profile.n)
-    spectral = sp.norm_identity_constant(tag, profile.n).value * sp.l2nu_norm_sq(profile, weight)
-    return CheckData(volume, spectral, _rel(volume, spectral), 1e-3, 2e-2, label)
-
-
-def _check_pw_volume_identity(cfg: SuiteConfig, rng) -> CheckData:
-    base = _rand_interior(rng, cfg.n, spread=0.4)
-    return _chart_identity(sp.KernelProfile(cfg.n, cfg.nu, base), sp.Bergman(cfg.nu), cfg)
-
-
-def _check_pw_volume_identity_finite(cfg: SuiteConfig, rng) -> CheckData:
-    terms = (
-        sp.FiniteTerm((0,) * cfg.n, 1.0, 0.0, 1.0),
-        sp.FiniteTerm((2,) + (0,) * (cfg.n - 1), -0.2 + 0.5j, 0.5, 0.7),
-    )
-    return _chart_identity(sp.FiniteProfile(cfg.n, terms), sp.Bergman(cfg.nu), cfg)
-
-
-def _check_pw_derivative_identity(cfg: SuiteConfig, rng) -> CheckData:
-    nu = -1.5 if cfg.n == 1 else -2.5
-    base = _rand_interior(rng, cfg.n, spread=0.3)
-    profile = sp.KernelProfile(cfg.n, nu, base, 1)
-    return _chart_identity(profile, sp.WeightedDirichlet(nu, 1), cfg, reinforced=True)
-
-
-def _check_pw_m_independence_quadrature(cfg: SuiteConfig, rng) -> CheckData:
-    nu = -1.5 if cfg.n == 1 else -2.5
-    base = _rand_interior(rng, cfg.n, spread=0.3)
-    profile = sp.KernelProfile(cfg.n, nu, base, 1)
-    F = sp.ProfileFunction(profile)
-    rules, label = _chart_rules(cfg, [F], reinforced=True)
-    spectral = sp.l2nu_norm_sq(profile, nu)
-    cases = []
-    for m in (1, 2):
-        volume = sp.space_norm_sq(F, sp.WeightedDirichlet(nu, m), rules)
-        constant = sp.norm_identity_constant(sp.WeightedDirichlet(nu, m), cfg.n).value
-        cases.append((_rel(volume, constant * spectral), volume, constant * spectral))
-    worst, volume, expected = _worst_case(cases)
-    return CheckData(volume, expected, worst, 1e-3, 2e-2, label)
-
-
-def _check_pw_m_independence_spectral(cfg: SuiteConfig, rng) -> CheckData:
-    """At two admissible derivative orders the Gamma constant times the
-    weighted spectral norm of the kernel slice reproduces the same
-    closed-form diagonal value, so the order drops out of the identity."""
-    base = _rand_interior(rng, cfg.n, spread=0.4)
-    if cfg.n == 1:
-        cases = [(-2.0, 1), (-2.0, 2), (-1.5, 1), (-1.5, 2)]
-    else:
-        cases = [(-3.0, 2), (-3.0, 3), (-2.5, 1), (-2.5, 2)]
-    rows = []
-    for nu, m in cases:
-        kid = kr.WeightedDirichlet(nu, m)
-        profile = sp.KernelProfile(cfg.n, nu, base, m)
-        lhs = sp.norm_identity_constant(kid, cfg.n).value * sp.l2nu_norm_sq(profile, nu)
-        rhs = kr.kernel_eval(kid, base, base).real
-        rows.append((_rel(lhs, rhs), lhs, rhs))
-    worst, lhs, rhs = _worst_case(rows)
-    return CheckData(lhs, rhs, worst, 1e-10, rules="closed-form Laplace pieces")
-
-
-def _check_pw_endpoint_identity(cfg: SuiteConfig, rng) -> CheckData:
-    m = max(cfg.m, 2) if cfg.n == 1 else 2
-    base = _rand_interior(rng, cfg.n, spread=0.3)
-    profile = sp.DirichletKernelProfile(cfg.n, m, base)
-    return _chart_identity(profile, sp.Dirichlet(m), cfg, reinforced=True)
-
-
 def _check_pw_endpoint_center(cfg: SuiteConfig, rng) -> CheckData:
     base = _rand_interior(rng, cfg.n, spread=0.4)
     profile = sp.DirichletKernelProfile(cfg.n, 2, base)
@@ -616,8 +520,11 @@ def _check_pw_hardy_slices(cfg: SuiteConfig, rng) -> CheckData:
     base = _rand_interior(rng, cfg.n, spread=0.3, h_lo=0.7, h_hi=1.3)
     profile = sp.KernelProfile(cfg.n, -1.0, base)
     F = sp.ProfileFunction(profile)
-    rules, label = _chart_rules(cfg, [F])
-    values = [value for _, value in sp.hardy_slice_norms(F, rules)]
+    rules, label = _chart_rules(cfg, [F], sp.ChartNormRules())
+    try:
+        values = [value for _, value in sp.hardy_slice_norms(F, rules)]
+    except Exception as exc:
+        return _raised(exc, label)
     if not all(b > a for a, b in zip(values, values[1:])):
         return CheckData(values[-1], values[0], math.inf, 2e-4, 5e-3, label)
     limit = sp._richardson_limit(values)
@@ -641,35 +548,6 @@ def _check_pw_cr_residuals(cfg: SuiteConfig, rng) -> CheckData:
 # ---------------------------------------------------------------------------
 # Suite: kernels
 # ---------------------------------------------------------------------------
-
-
-def _spectral_check_ids(cfg: SuiteConfig):
-    ids = [kr.Szego(), kr.Bergman(cfg.nu), kr.Bergman(1.5)]
-    if cfg.n == 1:
-        ids += [kr.WeightedDirichlet(-1.5, 1), kr.WeightedDirichlet(-2.0, 1)]
-    else:
-        ids += [kr.WeightedDirichlet(-2.5, 1), kr.WeightedDirichlet(-3.0, 2)]
-    ids += [kr.DirichletLog(cfg.n + 1), kr.DirichletLog(cfg.n + 1, dotted=True)]
-    return ids
-
-
-def _check_kernels_reproducing_spectral(cfg: SuiteConfig, rng) -> CheckData:
-    zeta, omega = _rand_interior(rng, cfg.n), _rand_interior(rng, cfg.n)
-    worst = max(
-        kr.reproducing_check(kid, zeta, omega, method="spectral")
-        for kid in _spectral_check_ids(cfg)
-    )
-    return CheckData(worst, 0.0, worst, 1e-10, rules="closed-form Laplace pieces; Frullani integrals for the logarithmic family")
-
-
-def _check_kernels_reproducing_quadrature(cfg: SuiteConfig, rng) -> CheckData:
-    kid = kr.Bergman(cfg.nu)
-    zeta, omega = _rand_interior(rng, cfg.n), _rand_interior(rng, cfg.n)
-    slices = [kr.kernel_slice(kid, omega), kr.kernel_slice(kid, zeta)]
-    rules, label = _chart_rules(cfg, slices, reinforced=True)
-    err = kr.reproducing_check(kid, zeta, omega, method="quadrature", rules=rules)
-    expected = kr.kernel_eval(kid, zeta, omega)
-    return CheckData(expected, expected, err, 1e-4, 5e-3, label)
 
 
 def _check_kernels_mobius(cfg: SuiteConfig, rng) -> CheckData:
@@ -699,7 +577,7 @@ def _check_kernels_cayley(cfg: SuiteConfig, rng) -> CheckData:
 def _check_kernels_gram_psd(cfg: SuiteConfig, rng) -> CheckData:
     points = [_rand_interior(rng, cfg.n) for _ in range(8)]
     worst = 0.0
-    for kid in _spectral_check_ids(cfg):
+    for kid in _kernel_ids(cfg):
         gram = kr.gram_matrix(kid, points)
         eigenvalues = np.linalg.eigvalsh(gram)
         trace = float(np.trace(gram).real)
@@ -748,54 +626,6 @@ def _check_kernels_qpower_divergence(cfg: SuiteConfig, rng) -> CheckData:
 # ---------------------------------------------------------------------------
 
 
-def _check_dirichlet_reproducing_spectral(cfg: SuiteConfig, rng) -> CheckData:
-    m = cfg.n + 1
-    zeta, omega = _rand_interior(rng, cfg.n), _rand_interior(rng, cfg.n)
-    worst = max(
-        kr.reproducing_check(kr.DirichletLog(m, dotted=dotted), zeta, omega)
-        for dotted in (False, True)
-    )
-    return CheckData(worst, 0.0, worst, 1e-10, rules="logarithmic family: closed-form Frullani integrals")
-
-
-def _check_dirichlet_reproducing_quadrature(cfg: SuiteConfig, rng) -> CheckData:
-    kid = kr.DirichletLog(cfg.n + 1)
-    zeta, omega = _rand_interior(rng, cfg.n), _rand_interior(rng, cfg.n)
-    slices = [kr.kernel_slice(kid, omega), kr.kernel_slice(kid, zeta)]
-    rules, label = _chart_rules(cfg, slices, reinforced=True)
-    err = kr.reproducing_check(kid, zeta, omega, method="quadrature", rules=rules)
-    expected = kr.kernel_eval(kid, zeta, omega)
-    return CheckData(expected, expected, err, 1e-4, 5e-3, label)
-
-
-def _check_dirichlet_constant_slice(cfg: SuiteConfig, rng) -> CheckData:
-    m = cfg.n + 1
-    zeta = _rand_interior(rng, cfg.n)
-    value = 0.75 - 0.4j
-    functions = [sp.ProfileFunction(sp.FiniteProfile(cfg.n, ()), value), kr.kernel_slice(kr.DirichletLog(m), zeta)]
-    rules, label = _chart_rules(cfg, functions, reinforced=True)
-    got = kr.space_inner_product(*functions, sp.Dirichlet(m), rules)
-    return CheckData(got, value, abs(got - value), 1e-10, 1e-8, label)
-
-
-def _check_dirichlet_gram_identity(cfg: SuiteConfig, rng) -> CheckData:
-    m = cfg.n + 1
-    points = [_rand_interior(rng, cfg.n) for _ in range(3)]
-    coeffs = [1.0, -0.5 + 0.3j, 0.25j]
-    slices = [kr.kernel_slice(kr.DirichletLog(m, dotted=True), p) for p in points]
-    rules, label = _chart_rules(cfg, slices, reinforced=True)
-    err = kr.dotted_gram_identity_check(points, coeffs, m=m, rules=rules)
-    return CheckData(err, 0.0, err, 1e-3, 2e-2, label)
-
-
-def _check_dirichlet_mobius(cfg: SuiteConfig, rng) -> CheckData:
-    return _check_kernels_mobius(cfg, rng)
-
-
-def _check_dirichlet_cayley(cfg: SuiteConfig, rng) -> CheckData:
-    return _check_kernels_cayley(cfg, rng)
-
-
 def _check_dirichlet_difference_report(cfg: SuiteConfig, rng) -> CheckData:
     """Report-only: the growth envelope's constant is not pinned down, so the
     empirical ratio is published without asserting a bound."""
@@ -829,8 +659,6 @@ def _check_da_documented_value(cfg: SuiteConfig, rng) -> CheckData:
 
 
 def _check_da_monomial_identity(cfg: SuiteConfig, rng) -> CheckData:
-    import itertools
-
     dim = cfg.n + 1
     worst = 0.0
     for alpha in itertools.product(range(9), repeat=dim):
@@ -843,8 +671,6 @@ def _check_da_monomial_identity(cfg: SuiteConfig, rng) -> CheckData:
 
 
 def _check_da_random_identity(cfg: SuiteConfig, rng) -> CheckData:
-    import itertools
-
     dim = cfg.n + 1
     indices = [
         alpha for alpha in itertools.product(range(9), repeat=dim) if sum(alpha) <= 8
@@ -879,7 +705,7 @@ def _check_da_ladder_closed_form(cfg: SuiteConfig, rng) -> CheckData:
 
 
 def _check_da_sphere_mc(cfg: SuiteConfig, rng) -> CheckData:
-    alpha = (2, 1) if cfg.n == 1 else (2, 1, 1)
+    alpha = (2,) + (1,) * cfg.n
     samples = 50_000 if cfg.fast else 200_000
     gauss = rng.normal(size=(samples, len(alpha))) + 1j * rng.normal(
         size=(samples, len(alpha))
@@ -898,15 +724,109 @@ def _check_da_sphere_mc(cfg: SuiteConfig, rng) -> CheckData:
 def _check_da_dot_dirichlet(cfg: SuiteConfig, rng) -> CheckData:
     dim = cfg.n + 1
     constant = da.BallPolynomial.constant(dim, 3.0 - 1.0j)
-    paired = da.parse_ball_polynomial("z1*z2", dim=dim)
-    worst = max(
-        da.dot_dirichlet_norm_coeff_sq(constant),
-        abs(da.dot_dirichlet_norm_coeff_sq(paired) - 1.0),
+    paired = da.dot_dirichlet_norm_coeff_sq(da.parse_ball_polynomial("z1*z2", dim=dim))
+    worst = max(da.dot_dirichlet_norm_coeff_sq(constant), abs(paired - 1.0))
+    return CheckData(paired, 1.0, worst, 1e-13, rules="coefficient weights")
+
+
+# ---------------------------------------------------------------------------
+# Gram identities: one table over three methods
+# ---------------------------------------------------------------------------
+
+
+#: The ways to compute one Gram entry (see :func:`siegelpw.kernels.chart_entry`).
+_METHODS = {"chart": kr.chart_entry, "spectral": kr.spectral_entry, "kernel": kr.kernel_entry}
+
+#: ``(error, lhs, rhs)`` of the two computed values ``a`` and ``b``.
+_COMPARE = {
+    "relative": lambda a, b: (_rel(a, b), a, b),
+    "absolute": lambda a, b: (abs(a - b), a, b),
+    "reproduced": lambda a, b: (abs(a - b) / abs(b), b, b),
+    "error": lambda a, b: (abs(a - b) / abs(b), abs(a - b) / abs(b), 0.0),
+}
+
+
+@dataclass(frozen=True)
+class IdentityRow:
+    """A Gram identity computed by two ``methods`` in each space of
+    ``spaces(cfg)``: ``entry`` of the Gram matrix of the functions that
+    ``inputs(rng, cfg)`` draws (a point stands for each space's kernel slice
+    there), or with ``weights`` the squared norm of their combination.  The
+    row reports the worst space by ``compare``; a NaN error is the worst.  A
+    chart pass runs on ``preset`` (see :func:`_chart_rules`), laid out for
+    the first space's functions."""
+
+    check_id: str
+    anchor: str
+    inputs: Callable[[np.random.Generator, SuiteConfig], list]
+    spaces: Callable[[SuiteConfig], list]
+    methods: tuple[str, str]
+    tolerance: float
+    fast_tolerance: float | None = None
+    entry: tuple[int, int] = (0, 0)
+    compare: str = "relative"
+    weights: tuple[complex, ...] = ()
+    preset: sp.ChartNormRules = kr.KERNEL_QUADRATURE_RULES
+    note: str = ""
+
+    def cases(self, cfg: SuiteConfig, rng) -> list[tuple[sp.SpaceTag, list]]:
+        """``(space, functions)`` for each space the row compares in."""
+        drawn = self.inputs(rng, cfg)
+        out = []
+        for tag in self.spaces(cfg):
+            functions = [kr.kernel_slice(tag, x) if isinstance(x, SiegelPoint) else x for x in drawn]
+            if self.weights:
+                functions = [kr.FunctionCombination(tuple(zip(self.weights, functions)))]
+            out.append((tag, functions))
+        return out
+
+    def run(self, cfg: SuiteConfig, rng) -> CheckData:
+        cases = self.cases(cfg, rng)
+        rules = label = None
+        if "chart" in self.methods:
+            rules, label = _chart_rules(cfg, cases[0][1], self.preset)
+        try:
+            found = [
+                _COMPARE[self.compare](*(_METHODS[name](functions, tag, self.entry, rules) for name in self.methods))
+                for tag, functions in cases
+            ]
+        except Exception as exc:
+            return _raised(exc, label)
+        error, lhs, rhs = max(found, key=lambda case: (math.isnan(case[0]), case[0]))
+        rules_text = "; ".join(text for text in (label, self.note) if text)
+        return CheckData(lhs, rhs, error, self.tolerance, self.fast_tolerance, rules_text)
+
+
+def _weighted(n: int, nu: float, extra: int = 0) -> sp.WeightedDirichlet:
+    """The derivative-weighted space of weight ``nu`` at its smallest
+    admissible order (``2m + nu > -1``), plus ``extra``; the rows take
+    ``nu = -n - 1/2`` and ``nu = -n - 1``."""
+    return sp.WeightedDirichlet(nu, math.floor((-1.0 - nu) / 2.0) + 1 + extra)
+
+
+def _endpoint_order(cfg: SuiteConfig) -> int:
+    """``--m``, or the smallest order the endpoint space admits (``2m > n + 1``)."""
+    return max(cfg.m, (cfg.n + 1) // 2 + 1)
+
+
+def _kernel_ids(cfg: SuiteConfig) -> list:
+    """The kernels of the spectral reproducing row and of the Gram spectra."""
+    n = cfg.n
+    weighted = [_weighted(n, -n - 0.5), _weighted(n, -n - 1.0)]
+    return [kr.Szego(), kr.Bergman(cfg.nu), kr.Bergman(1.5), *weighted, kr.DirichletLog(n + 1), kr.DirichletLog(n + 1, True)]
+
+
+def _points(count: int, spread: float = 0.7):
+    """Inputs: ``count`` random interior points."""
+    return lambda rng, cfg: [_rand_interior(rng, cfg.n, spread=spread) for _ in range(count)]
+
+
+def _finite_field(rng, cfg) -> list:
+    terms = (
+        sp.FiniteTerm((0,) * cfg.n, 1.0, 0.0, 1.0),
+        sp.FiniteTerm((2,) + (0,) * (cfg.n - 1), -0.2 + 0.5j, 0.5, 0.7),
     )
-    return CheckData(
-        da.dot_dirichlet_norm_coeff_sq(paired), 1.0, worst, 1e-13,
-        rules="coefficient weights",
-    )
+    return [sp.ProfileFunction(sp.FiniteProfile(cfg.n, terms))]
 
 
 # ---------------------------------------------------------------------------
@@ -918,8 +838,10 @@ SUITES: Mapping[str, tuple[CheckSpec, ...]] = {
     "group": (
         CheckSpec("group-associativity", "boundary-group product law", _check_group_associativity),
         CheckSpec("group-identity-inverse", "unit and inverse elements", _check_group_identity_inverse),
-        CheckSpec("group-norm-homogeneity", "gauge scales linearly under dilation", _check_group_norm_homogeneity),
-        CheckSpec("group-distance-dilation", "distance scales linearly under dilation", _check_group_distance_dilation),
+        CheckSpec("group-norm-homogeneity", "gauge scales linearly under dilation",
+                  partial(_check_group_dilation, gauge=hb.homogeneous_norm, arity=1)),
+        CheckSpec("group-distance-dilation", "distance scales linearly under dilation",
+                  partial(_check_group_dilation, gauge=hb.distance, arity=2)),
     ),
     "fock": (
         CheckSpec("fock-kernel-truncation", "kernel series tail within analytic bound", _check_fock_kernel_truncation),
@@ -934,14 +856,23 @@ SUITES: Mapping[str, tuple[CheckSpec, ...]] = {
     ),
     "paley-wiener": (
         CheckSpec("pw-cr-residuals", "synthesized functions are holomorphic", _check_pw_cr_residuals),
-        CheckSpec("pw-derivative-identity", "derivative-weight norm identity", _check_pw_derivative_identity),
+        IdentityRow("pw-derivative-identity", "derivative-weight norm identity", _points(1, 0.3),
+                    lambda cfg: [_weighted(cfg.n, -cfg.n - 0.5)], ("chart", "spectral"), 1e-3, 2e-2),
         CheckSpec("pw-endpoint-center", "endpoint synthesis pins the center value", _check_pw_endpoint_center),
-        CheckSpec("pw-endpoint-identity", "endpoint norm identity", _check_pw_endpoint_identity),
+        IdentityRow("pw-endpoint-identity", "endpoint norm identity", lambda rng, cfg: [sp.ProfileFunction(
+                    sp.DirichletKernelProfile(cfg.n, _endpoint_order(cfg), _rand_interior(rng, cfg.n, spread=0.3)))],
+                    lambda cfg: [sp.Dirichlet(_endpoint_order(cfg))], ("chart", "spectral"), 1e-3, 2e-2),
         CheckSpec("pw-hardy-slices", "height slices increase to the boundary norm", _check_pw_hardy_slices),
-        CheckSpec("pw-m-independence-quadrature", "derivative order drops out (chart side)", _check_pw_m_independence_quadrature),
-        CheckSpec("pw-m-independence-spectral", "derivative order drops out (spectral side)", _check_pw_m_independence_spectral),
-        CheckSpec("pw-volume-identity", "volume norm identity for a kernel field", _check_pw_volume_identity),
-        CheckSpec("pw-volume-identity-finite", "volume norm identity for a finite field", _check_pw_volume_identity_finite),
+        IdentityRow("pw-m-independence-quadrature", "derivative order drops out (chart side)", lambda rng, cfg: [
+                    kr.kernel_slice(_weighted(cfg.n, -cfg.n - 0.5), _rand_interior(rng, cfg.n, spread=0.3))],
+                    lambda cfg: [_weighted(cfg.n, -cfg.n - 0.5, k) for k in (0, 1)], ("chart", "spectral"), 1e-3, 2e-2),
+        IdentityRow("pw-m-independence-spectral", "derivative order drops out (spectral side)", _points(1, 0.4),
+                    lambda cfg: [_weighted(cfg.n, -cfg.n - nu, k) for nu in (1.0, 0.5) for k in (0, 1)],
+                    ("spectral", "kernel"), 1e-10, note="closed-form Laplace pieces"),
+        IdentityRow("pw-volume-identity", "volume norm identity for a kernel field", _points(1, 0.4),
+                    lambda cfg: [sp.Bergman(cfg.nu)], ("chart", "spectral"), 1e-3, 2e-2, preset=sp.ChartNormRules()),
+        IdentityRow("pw-volume-identity-finite", "volume norm identity for a finite field", _finite_field,
+                    lambda cfg: [sp.Bergman(cfg.nu)], ("chart", "spectral"), 1e-3, 2e-2, preset=sp.ChartNormRules()),
     ),
     "kernels": (
         CheckSpec("kernels-cayley-transfer", "ball/half-space kernel transfer", _check_kernels_cayley),
@@ -950,17 +881,29 @@ SUITES: Mapping[str, tuple[CheckSpec, ...]] = {
         CheckSpec("kernels-power-integral-divergence", "divergent exponent pairs rejected", _check_kernels_qpower_divergence),
         CheckSpec("kernels-power-integral-mc", "closed constant within Monte Carlo band", _check_kernels_qpower_mc),
         CheckSpec("kernels-power-integral-nested", "closed constant matches nested quadrature", _check_kernels_qpower_nested),
-        CheckSpec("kernels-reproducing-quadrature", "kernel reproduces itself (chart side)", _check_kernels_reproducing_quadrature),
-        CheckSpec("kernels-reproducing-spectral", "kernel reproduces itself (spectral side)", _check_kernels_reproducing_spectral),
+        IdentityRow("kernels-reproducing-quadrature", "kernel reproduces itself (chart side)", _points(2),
+                    lambda cfg: [kr.Bergman(cfg.nu)], ("chart", "kernel"), 1e-4, 5e-3, (1, 0), "reproduced"),
+        IdentityRow("kernels-reproducing-spectral", "kernel reproduces itself (spectral side)", _points(2),
+                    _kernel_ids, ("spectral", "kernel"), 1e-10, None, (1, 0), "error",
+                    note="closed-form Laplace pieces; Frullani integrals for the logarithmic family"),
     ),
     "dirichlet": (
-        CheckSpec("dirichlet-cayley-transfer", "ball/half-space kernel transfer", _check_dirichlet_cayley),
-        CheckSpec("dirichlet-constant-slice", "constants reproduce through the full kernel", _check_dirichlet_constant_slice),
+        CheckSpec("dirichlet-cayley-transfer", "ball/half-space kernel transfer", _check_kernels_cayley),
+        IdentityRow("dirichlet-constant-slice", "constants reproduce through the full kernel", lambda rng, cfg: [
+                    sp.ProfileFunction(sp.FiniteProfile(cfg.n, ()), 0.75 - 0.4j), _rand_interior(rng, cfg.n)],
+                    lambda cfg: [kr.DirichletLog(cfg.n + 1)], ("chart", "kernel"), 1e-10, 1e-8, (0, 1), "absolute",
+                    note="the chart part of M[0, 1] vanishes by construction (a constant's height derivative "
+                    "is the empty field), so the row tests the center term"),
         CheckSpec("dirichlet-difference-report", "growth-envelope ratio (report only)", _check_dirichlet_difference_report),
-        CheckSpec("dirichlet-gram-identity", "combination norm equals Gram value", _check_dirichlet_gram_identity),
-        CheckSpec("dirichlet-mobius-invariance", "renormalized invariance under automorphisms", _check_dirichlet_mobius),
-        CheckSpec("dirichlet-reproducing-quadrature", "log kernel reproduces itself (chart side)", _check_dirichlet_reproducing_quadrature),
-        CheckSpec("dirichlet-reproducing-spectral", "log kernel reproduces itself (spectral side)", _check_dirichlet_reproducing_spectral),
+        IdentityRow("dirichlet-gram-identity", "combination norm equals Gram value", _points(3),
+                    lambda cfg: [kr.DirichletLog(cfg.n + 1, dotted=True)], ("chart", "kernel"), 1e-3, 2e-2,
+                    compare="error", weights=(1.0, -0.5 + 0.3j, 0.25j)),
+        CheckSpec("dirichlet-mobius-invariance", "renormalized invariance under automorphisms", _check_kernels_mobius),
+        IdentityRow("dirichlet-reproducing-quadrature", "log kernel reproduces itself (chart side)", _points(2),
+                    lambda cfg: [kr.DirichletLog(cfg.n + 1)], ("chart", "kernel"), 1e-4, 5e-3, (1, 0), "reproduced"),
+        IdentityRow("dirichlet-reproducing-spectral", "log kernel reproduces itself (spectral side)", _points(2),
+                    lambda cfg: [kr.DirichletLog(cfg.n + 1, dotted) for dotted in (False, True)], ("spectral", "kernel"),
+                    1e-10, None, (1, 0), "error", note="logarithmic family: closed-form Frullani integrals"),
     ),
     "drury-arveson": (
         CheckSpec("da-documented-value", "paired-coordinate norm is one half", _check_da_documented_value),
@@ -991,13 +934,11 @@ def _specs_for(name: str) -> tuple[CheckSpec, ...]:
 
 def _run_check(spec: CheckSpec, cfg: SuiteConfig) -> CheckResult:
     rng = _check_rng(cfg, spec.check_id)
-    _row_layout.label = None
     started = time.perf_counter()
     try:
         data = spec.run(cfg, rng)
     except Exception as exc:  # a raising check fails; it must not kill the run
-        label = "" if _row_layout.label is None else f"; {_row_layout.label}"
-        data = CheckData(math.nan, math.nan, math.inf, 0.0, rules=f"raised {type(exc).__name__}: {exc}{label}")
+        data = _raised(exc)
     elapsed = time.perf_counter() - started
     tolerance = data.tolerance
     if cfg.fast and data.fast_tolerance is not None:
@@ -1109,12 +1050,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     out_path = settings.pop("out", None)
     csv_path = settings.pop("csv", None)
     gnuplot_path = settings.pop("emit_gnuplot", None)
-    cfg = SuiteConfig(**settings)
-    if suite not in SUITE_NAMES:
-        raise ConfigError(
-            f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}"
-        )
-    report = run_suite(suite, cfg)
+    report = run_suite(suite, SuiteConfig(**settings))
     _emit(report.to_json(), out_path)
     if csv_path:
         with open(csv_path, "w", encoding="utf-8", newline="") as handle:
@@ -1221,29 +1157,25 @@ def _cmd_norm(args: argparse.Namespace) -> int:
     if n is None:
         raise ConfigError("this profile family does not carry a dimension")
     tag = _space_from_args(args.space, args.nu, args.m)
-    weight = sp.spectral_weight(tag, n)
-    constant = sp.norm_identity_constant(tag, n)
-    spectral = constant.value * sp.l2nu_norm_sq(profile, weight)
+    functions = [sp.ProfileFunction(profile)]
+    spectral = kr.spectral_entry(functions, tag)
     doc: dict = {
         "space": args.space,
         "n": n,
-        "constant": constant.text,
+        "constant": sp.norm_identity_constant(tag, n).text,
         "spectral": spectral,
     }
-    rules = sp.ChartNormRules.smoke() if args.fast else sp.ChartNormRules()
     if args.method in ("quadrature", "both"):
-        F = sp.ProfileFunction(profile)
-        volume = sp.space_norm_sq(F, tag, rules)
-        doc["quadrature"] = volume
+        rules = sp.ChartNormRules.smoke() if args.fast else sp.ChartNormRules()
+        doc["quadrature"] = volume = kr.chart_entry(functions, tag, rules=rules)
         if args.method == "both":
+            rel_error, lhs, rhs = _COMPARE["relative"](volume, spectral)
             doc.update(
-                {
-                    "identity": "chart norm equals constant times spectral norm",
-                    "lhs": volume,
-                    "rhs": spectral,
-                    "rel_error": _rel(volume, spectral),
-                    "rules": sp._chart_layout([F], n, None, rules).label,
-                }
+                identity="chart norm equals constant times spectral norm",
+                lhs=lhs,
+                rhs=rhs,
+                rel_error=rel_error,
+                rules=sp._chart_layout(functions, n, None, rules).label,
             )
     _emit(doc, args.out)
     return 0

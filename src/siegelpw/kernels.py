@@ -14,7 +14,8 @@ packages the checks the verification suites are built from:
 * the renormalized invariance identity of the dotted logarithmic kernel
   under half-space automorphisms,
 * the ball/half-space transfer comparison through the rational ball map,
-* Gram matrices and the dotted Gram norm identity,
+* Gram entries computed three ways (chart quadrature, spectral pairing,
+  closed-form kernel) and Gram matrices,
 * the closed-form constant of the weighted pairing-power integral, with
   nested-quadrature and Monte Carlo cross-checks, and the report-only
   difference-integral growth ratio.
@@ -77,11 +78,13 @@ __all__ = [
     "FunctionCombination",
     "KERNEL_QUADRATURE_RULES",
     "space_inner_product",
+    "chart_entry",
+    "spectral_entry",
+    "kernel_entry",
     "reproducing_check",
     "mobius_invariance_check",
     "cayley_transfer_check",
     "gram_matrix",
-    "dotted_gram_identity_check",
     "q_power_integral_constant",
     "q_power_integral_nested",
     "q_power_integral_mc",
@@ -373,8 +376,57 @@ def space_inner_product(F, G, tag, rules: sp.ChartNormRules | None = None) -> co
 
 
 # ---------------------------------------------------------------------------
-# Reproducing-property check
+# One Gram entry, three ways
 # ---------------------------------------------------------------------------
+#
+# Each method returns the entry ``<F_j, F_k>``, ``entry = (j, k)``, of the
+# Gram matrix of ``functions`` in the space ``tag`` (real on the diagonal);
+# all take the chart's ``rules`` so that a caller can swap them.
+# The functions are the tag's kernel slices (:func:`kernel_slice`) or
+# constants (an empty finite field plus a constant), and on the kernel side's
+# diagonal also a combination of slices.
+
+
+def chart_entry(functions, tag, entry=(0, 0), rules: sp.ChartNormRules | None = None):
+    """By tensor-product chart quadrature over the two functions the entry
+    pairs (:func:`siegelpw.spectral.space_norm_sq` on the diagonal)."""
+    j, k = entry
+    if j == k:
+        return sp.space_norm_sq(functions[j], tag, rules)
+    return space_inner_product(functions[j], functions[k], tag, rules)
+
+
+def spectral_entry(functions, tag, entry=(0, 0), rules=None):
+    """By the Paley–Wiener identity: the norm-identity constant times the
+    weighted spectral pairing of the two fields, plus the product of their
+    values at the distinguished center in the endpoint space (the constants
+    of full logarithmic slices)."""
+    j, k = entry
+    F, G = functions[j], functions[k]
+    weight = sp.spectral_weight(tag, F.n)
+    value = sp.norm_identity_constant(tag, F.n).value * sp.l2nu_inner_product(F.profile, G.profile, weight)
+    if isinstance(tag, DirichletLog):
+        value += F.constant * G.constant.conjugate()
+    return value.real if j == k else value
+
+
+def kernel_entry(functions, tag, entry=(0, 0), rules=None):
+    """By the reproducing property ``<F, K(., p)> = F(p)`` for the slice
+    ``F_k`` at ``p``: the closed-form ``K(p, q)`` for a slice ``F_j`` at
+    ``q``, a constant's value, and ``conj(a) G a`` over the Gram matrix of
+    the points for a combination ``sum a_i K(., p_i)`` on the diagonal."""
+    j, k = entry
+    F = functions[j]
+    if isinstance(F, FunctionCombination):
+        coeffs = np.asarray([c for c, _ in F.terms], dtype=np.complex128)
+        value = complex(np.conj(coeffs) @ gram_matrix(tag, [f.profile.base for _, f in F.terms]) @ coeffs)
+        if value.real <= 0.0:
+            raise InvalidParameterError("the Gram value degenerated; pick independent points")
+        return value.real
+    if isinstance(F.profile, sp.FiniteProfile) and not F.profile.terms:
+        return F.constant
+    value = kernel_eval(tag, functions[k].profile.base, F.profile.base)
+    return value.real if j == k else value
 
 
 def reproducing_check(
@@ -389,36 +441,20 @@ def reproducing_check(
     ``<K(., omega0), K(., zeta)> = K(zeta, omega0)`` in the kernel's space.
 
     ``method='spectral'`` pairs the two slice transforms on the spectral
-    side in closed form (Laplace pieces, or for the logarithmic family a
-    generalized Frullani integral); ``method='quadrature'`` takes the
-    chart-quadrature inner product (``rules`` defaults to
-    :data:`KERNEL_QUADRATURE_RULES`).
+    side in closed form (:func:`spectral_entry`); ``method='quadrature'``
+    takes the chart-quadrature inner product (:func:`chart_entry`, ``rules``
+    defaulting to :data:`KERNEL_QUADRATURE_RULES`).
     """
-    if isinstance(kid, BallDirichlet):
-        raise InvalidParameterError("the reproducing check runs on half-space kernels")
+    if method not in ("spectral", "quadrature"):
+        raise InvalidParameterError("method must be 'spectral' or 'quadrature'")
     if not isinstance(zeta, SiegelPoint) or not isinstance(omega0, SiegelPoint):
         raise InvalidParameterError("the reproducing check expects half-space points")
     for p in (zeta, omega0):
         if classify(p) != "interior":
             raise KernelDomainError("kernel slices belong to the space for interior anchors only")
-    expected = kernel_eval(kid, zeta, omega0)
-    n = zeta.n
-    if method == "spectral":
-        weight = sp.spectral_weight(kid, n)
-        paley = sp.norm_identity_constant(kid, n).value
-        value = paley * sp.l2nu_inner_product(
-            kernel_profile(kid, omega0), kernel_profile(kid, zeta), weight
-        )
-        if isinstance(kid, DirichletLog) and not kid.dotted:
-            # Both full logarithmic slices equal one at the distinguished
-            # center, adding exactly one center product.
-            value += 1.0
-    elif method == "quadrature":
-        value = space_inner_product(
-            kernel_slice(kid, omega0), kernel_slice(kid, zeta), kid, rules
-        )
-    else:
-        raise InvalidParameterError("method must be 'spectral' or 'quadrature'")
+    slices = [kernel_slice(kid, omega0), kernel_slice(kid, zeta)]
+    expected = kernel_entry(slices, kid, (0, 1))
+    value = (spectral_entry if method == "spectral" else chart_entry)(slices, kid, (0, 1), rules)
     return abs(value - expected) / abs(expected)
 
 
@@ -500,32 +536,6 @@ def gram_matrix(kid: KernelId, points: Sequence) -> np.ndarray:
             out[j, k] = kernel_eval(kid, pts[j], pts[k])
             out[k, j] = np.conj(out[j, k])
     return out
-
-
-def dotted_gram_identity_check(
-    points: Sequence[SiegelPoint],
-    coeffs: Sequence[complex],
-    *,
-    m: int = 2,
-    rules: sp.ChartNormRules | None = None,
-) -> float:
-    """Relative error between the chart-quadrature squared norm of a finite
-    combination of dotted logarithmic slices and its Gram-matrix value
-    ``sum_jk conj(a_j) a_k Kdot(p_j, p_k)``."""
-    pts = list(points)
-    vec = np.asarray([complex(c) for c in coeffs], dtype=np.complex128)
-    if not pts or len(pts) != vec.shape[0]:
-        raise InvalidParameterError("need matching, nonempty points and coefficients")
-    kid = DirichletLog(m, dotted=True)
-    combo = FunctionCombination(
-        tuple((c, kernel_slice(kid, p)) for c, p in zip(vec, pts))
-    )
-    lhs = sp.space_norm_sq(combo, kid, rules or KERNEL_QUADRATURE_RULES)
-    gram = gram_matrix(kid, pts)
-    rhs = complex(np.conj(vec) @ gram @ vec)
-    if rhs.real <= 0.0:
-        raise InvalidParameterError("the Gram value degenerated; pick independent points")
-    return abs(lhs - rhs.real) / rhs.real
 
 
 # ---------------------------------------------------------------------------

@@ -375,9 +375,10 @@ class DirichletKernelProfile:
     the value at the distinguished center subtracted.
 
     The vector part carries ``mu^(-n-1)``, so plain synthesis diverges at
-    frequency zero; use :func:`synthesize_dirichlet`, which integrates the
-    center-subtracted combination.  When ``base`` is the center itself the
-    field vanishes identically.
+    frequency zero (its height derivatives converge); use
+    :func:`synthesize_dirichlet`, which integrates the center-subtracted
+    combination.  When ``base`` is the center itself the field vanishes
+    identically.
     """
 
     n: int
@@ -426,10 +427,11 @@ class DirichletKernelProfile:
     # -- synthesis ---------------------------------------------------------
 
     def synthesis_pieces(self, coords) -> list[_Piece]:
-        raise DivergentIntegralError(
-            "plain synthesis of the logarithmic-kernel field diverges at frequency 0; "
-            "use synthesize_dirichlet"
-        )
+        """The two center-subtracted pieces of power -1; they converge one by
+        one only after a height derivative (:func:`synthesize` rejects the
+        field itself)."""
+        amp = self.normalization
+        return [_phase_piece(-1.0, amp, coords, self.base), _phase_piece(-1.0, -amp, coords, base_point(self.n))]
 
 
 @dataclass(frozen=True)
@@ -700,9 +702,9 @@ def synthesize(profile: SpectralProfile, point: SiegelPoint | HorocyclicCoordina
     """Value at an interior point of the holomorphic function carried by the
     field: the frequency integral of ``e^(-h*mu)`` times the field's trace
     against the adjoint representation operator, against ``mu^n``, normalized
-    by (2π)^-(n+1).  Closed-form Laplace pieces; the logarithmic family's
+    by (2π)^-(n+1).  Closed-form Laplace pieces; a logarithmic field's
     integral diverges at frequency 0 here and goes to
-    :func:`synthesize_dirichlet`.
+    :func:`synthesize_dirichlet`, while its height derivatives converge.
     """
     coords = _interior(point, "synthesis")
     n = profile.n

@@ -10,6 +10,7 @@ So the whole file takes seconds.
 
 import csv
 import io
+import itertools
 import json
 import math
 import time
@@ -271,6 +272,152 @@ class TestAnchorFrameRows:
             rules = rows[check_id]["rules"]
             assert rules.startswith("raised ") and not rows[check_id]["passed"]
             assert "; chart frame " in rules
+
+
+#: The 41 row ids the benchmark counts: a dropped passing row would raise
+#: the failed share of every verify run.
+ROW_IDS = [
+    "bargmann-derivative-fields", "bargmann-homomorphism", "bargmann-projection-tail", "bargmann-unitarity",
+    "da-documented-value", "da-dot-dirichlet", "da-ladder-closed-form", "da-monomial-identity",
+    "da-random-identity", "da-sphere-moment-mc", "dirichlet-cayley-transfer", "dirichlet-constant-slice",
+    "dirichlet-difference-report", "dirichlet-gram-identity", "dirichlet-mobius-invariance",
+    "dirichlet-reproducing-quadrature", "dirichlet-reproducing-spectral", "fock-kernel-truncation",
+    "fock-pairing-orthogonality", "fock-truncation-budget", "group-associativity", "group-distance-dilation",
+    "group-identity-inverse", "group-norm-homogeneity", "kernels-cayley-transfer", "kernels-gram-psd",
+    "kernels-mobius-invariance", "kernels-power-integral-divergence", "kernels-power-integral-mc",
+    "kernels-power-integral-nested", "kernels-reproducing-quadrature", "kernels-reproducing-spectral",
+    "pw-cr-residuals", "pw-derivative-identity", "pw-endpoint-center", "pw-endpoint-identity",
+    "pw-hardy-slices", "pw-m-independence-quadrature", "pw-m-independence-spectral", "pw-volume-identity",
+    "pw-volume-identity-finite",
+]
+
+
+def describe(function):
+    """The parameters of a table row's function: a kernel field's weight and
+    order, a logarithmic field's order and constant, a finite field's term
+    count and constant; a combination lists its terms."""
+    if isinstance(function, kr.FunctionCombination):
+        return [describe(term) for _, term in function.terms]
+    profile = function.profile
+    if isinstance(profile, sp.KernelProfile):
+        return ("kernel", profile.nu, profile.m)
+    if isinstance(profile, sp.DirichletKernelProfile):
+        return ("log", profile.m, function.constant)
+    return ("finite", len(profile.terms), function.constant)
+
+
+def kernel(nu, m=0):
+    return ("kernel", nu, m)
+
+
+def log(m, constant=0.0):
+    return ("log", m, constant)
+
+
+WD, D = sp.WeightedDirichlet, sp.Dirichlet
+
+#: Each table row's spaces and the parameters of its functions at n = 1 and
+#: n = 2, as the hand-written rows chose them before the table.
+TABLE = {
+    ("pw-volume-identity", 1): [(sp.Bergman(0.0), [kernel(0.0)])],
+    ("pw-volume-identity", 2): [(sp.Bergman(0.0), [kernel(0.0)])],
+    ("pw-volume-identity-finite", 1): [(sp.Bergman(0.0), [("finite", 2, 0.0)])],
+    ("pw-volume-identity-finite", 2): [(sp.Bergman(0.0), [("finite", 2, 0.0)])],
+    ("pw-derivative-identity", 1): [(WD(-1.5, 1), [kernel(-1.5, 1)])],
+    ("pw-derivative-identity", 2): [(WD(-2.5, 1), [kernel(-2.5, 1)])],
+    ("pw-endpoint-identity", 1): [(D(2), [log(2)])],
+    ("pw-endpoint-identity", 2): [(D(2), [log(2)])],
+    ("pw-m-independence-quadrature", 1): [(WD(-1.5, 1), [kernel(-1.5, 1)]), (WD(-1.5, 2), [kernel(-1.5, 1)])],
+    ("pw-m-independence-quadrature", 2): [(WD(-2.5, 1), [kernel(-2.5, 1)]), (WD(-2.5, 2), [kernel(-2.5, 1)])],
+    ("pw-m-independence-spectral", 1): [
+        (WD(nu, m), [kernel(nu, m)]) for nu, m in ((-2.0, 1), (-2.0, 2), (-1.5, 1), (-1.5, 2))
+    ],
+    ("pw-m-independence-spectral", 2): [
+        (WD(nu, m), [kernel(nu, m)]) for nu, m in ((-3.0, 2), (-3.0, 3), (-2.5, 1), (-2.5, 2))
+    ],
+    ("kernels-reproducing-quadrature", 1): [(sp.Bergman(0.0), [kernel(0.0)] * 2)],
+    ("kernels-reproducing-quadrature", 2): [(sp.Bergman(0.0), [kernel(0.0)] * 2)],
+    ("kernels-reproducing-spectral", 1): [
+        (sp.Hardy(), [kernel(-1.0)] * 2), (sp.Bergman(0.0), [kernel(0.0)] * 2),
+        (sp.Bergman(1.5), [kernel(1.5)] * 2), (WD(-1.5, 1), [kernel(-1.5, 1)] * 2),
+        (WD(-2.0, 1), [kernel(-2.0, 1)] * 2), (D(2), [log(2, 1.0)] * 2), (D(2, True), [log(2)] * 2),
+    ],
+    ("kernels-reproducing-spectral", 2): [
+        (sp.Hardy(), [kernel(-1.0)] * 2), (sp.Bergman(0.0), [kernel(0.0)] * 2),
+        (sp.Bergman(1.5), [kernel(1.5)] * 2), (WD(-2.5, 1), [kernel(-2.5, 1)] * 2),
+        (WD(-3.0, 2), [kernel(-3.0, 2)] * 2), (D(3), [log(3, 1.0)] * 2), (D(3, True), [log(3)] * 2),
+    ],
+    ("dirichlet-reproducing-quadrature", 1): [(D(2), [log(2, 1.0)] * 2)],
+    ("dirichlet-reproducing-quadrature", 2): [(D(3), [log(3, 1.0)] * 2)],
+    ("dirichlet-reproducing-spectral", 1): [(D(2), [log(2, 1.0)] * 2), (D(2, True), [log(2)] * 2)],
+    ("dirichlet-reproducing-spectral", 2): [(D(3), [log(3, 1.0)] * 2), (D(3, True), [log(3)] * 2)],
+    ("dirichlet-constant-slice", 1): [(D(2), [("finite", 0, 0.75 - 0.4j), log(2, 1.0)])],
+    ("dirichlet-constant-slice", 2): [(D(3), [("finite", 0, 0.75 - 0.4j), log(3, 1.0)])],
+    ("dirichlet-gram-identity", 1): [(D(2, True), [[log(2)] * 3])],
+    ("dirichlet-gram-identity", 2): [(D(3, True), [[log(3)] * 3])],
+}
+
+
+def table_rows():
+    return {spec.check_id: spec for spec in cli._specs_for("all") if isinstance(spec, cli.IdentityRow)}
+
+
+class TestIdentityTable:
+    """The Gram-identity rows are data over three methods."""
+
+    def test_suites_keep_the_benchmark_rows(self):
+        ids = [spec.check_id for specs in cli.SUITES.values() for spec in specs]
+        assert len(ids) == len(set(ids))
+        assert sorted(ids) == ROW_IDS
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_parameter_rule_reproduces_the_hand_chosen_values(self, n):
+        rows = table_rows()
+        assert sorted(rows) == sorted(check_id for check_id, dim in TABLE if dim == n)
+        cfg = cli.SuiteConfig(n=n)
+        for check_id, row in rows.items():
+            cases = row.cases(cfg, cli._check_rng(cfg, check_id))
+            got = [(tag, [describe(f) for f in functions]) for tag, functions in cases]
+            assert got == TABLE[check_id, n], check_id
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_endpoint_order_follows_m_at_every_n(self, n):
+        row = table_rows()["pw-endpoint-identity"]
+        for m, expected in ((1, 2), (2, 2), (3, 3)):
+            cfg = cli.SuiteConfig(n=n, m=m)
+            [(tag, [field])] = row.cases(cfg, cli._check_rng(cfg, row.check_id))
+            assert tag == sp.Dirichlet(expected)
+            assert describe(field) == log(expected)
+
+    def test_m_flag_reaches_the_endpoint_row_at_n2(self, monkeypatch, tmp_path):
+        # The chart method is replaced by one that records its space and
+        # raises, so the suite runs without chart grids.
+        seen = []
+
+        def record(functions, tag, entry, rules):
+            seen.append(tag)
+            raise RuntimeError("recorded")
+
+        monkeypatch.setitem(cli._METHODS, "chart", record)
+        _, doc = run_verify(tmp_path, "--suite", "paley-wiener", "--n", "2", "--m", "3", "--jobs", "1")
+        rows = {row["id"]: row for row in doc["checks"]}
+        assert sp.Dirichlet(3) in seen and sp.Dirichlet(2) not in seen
+        assert rows["pw-endpoint-identity"]["rules"].startswith("raised RuntimeError: recorded; chart frame ")
+
+    def test_a_nan_error_fails_the_row(self, monkeypatch):
+        # Two spaces; the second compares NaN with 1, which must not hide
+        # behind the first space's zero error.
+        row = cli.IdentityRow(
+            "nan-row", "", lambda rng, cfg: [cli._rand_interior(rng, cfg.n)] * 2,
+            lambda cfg: [sp.Bergman(0.0), sp.Bergman(1.5)], ("spectral", "kernel"), 1e-10, compare="error",
+        )
+        values = itertools.cycle([1.0, 1.0, math.nan, 1.0])
+        monkeypatch.setitem(cli._METHODS, "spectral", lambda *args: next(values))
+        monkeypatch.setitem(cli._METHODS, "kernel", lambda *args: next(values))
+        cfg = cli.SuiteConfig()
+        data = row.run(cfg, cli._check_rng(cfg, "nan-row"))
+        assert math.isnan(data.rel_error) and data.rules == ""
+        assert cli._run_check(row, cfg).passed is False
 
 
 OMEGA = {"z": [[0.3, 0.1]], "t": -0.2, "h": 0.8}

@@ -922,14 +922,25 @@ class TestGram:
             kr.gram_matrix(kr.Bergman(0.0), [])
 
     def test_dotted_gram_identity(self):
+        # The chart norm of a combination of dotted slices is its Gram value.
         rng = np.random.default_rng(39)
-        pts = [rand_interior(rng, 1) for _ in range(3)]
+        kid = kr.DirichletLog(2, dotted=True)
         coeffs = [1.0, -0.5 + 0.3j, 0.25j]
-        assert kr.dotted_gram_identity_check(pts, coeffs, m=2) < 1e-4
+        slices = [kr.kernel_slice(kid, rand_interior(rng, 1)) for _ in coeffs]
+        combo = [kr.FunctionCombination(tuple(zip(coeffs, slices)))]
+        gram = kr.gram_matrix(kid, [f.profile.base for f in slices])
+        vec = np.asarray(coeffs, dtype=np.complex128)
+        expected = kr.kernel_entry(combo, kid)
+        assert expected == complex(np.conj(vec) @ gram @ vec).real
+        lhs = kr.chart_entry(combo, kid, rules=kr.KERNEL_QUADRATURE_RULES)
+        assert abs(lhs - expected) / expected < 1e-4
 
     def test_gram_identity_validation(self):
+        # Opposite coefficients on one point give the zero function.
+        kid = kr.DirichletLog(2, dotted=True)
+        slice_ = kr.kernel_slice(kid, point([0.3], 0.2, 0.9))
         with pytest.raises(InvalidParameterError):
-            kr.dotted_gram_identity_check([base_point(1)], [1.0, 2.0], m=2)
+            kr.kernel_entry([kr.FunctionCombination(((1.0, slice_), (-1.0, slice_)))], kid)
 
 
 # ---------------------------------------------------------------------------

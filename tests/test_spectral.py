@@ -458,6 +458,22 @@ class TestSynthesis:
         with pytest.raises(DivergentIntegralError):
             sp.synthesize(heavy, chart([0.1], 0.0, 1.0))
 
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("base, target", [
+        (GENERIC_BASE_1, point([0.1], 0.0, 1.0)), (GENERIC_BASE_2, point([0.1, -0.2j], 0.4, 0.7)),
+    ])
+    def test_height_derivatives_of_a_log_field_synthesize(self, base, target, order):
+        # The field itself diverges at frequency 0; its height derivatives
+        # integrate piece by piece and match the closed chart values.  The two
+        # pieces (base and center) cancel in part, so the rounding is measured
+        # against their sizes.
+        field = sp.spectral_derivative(sp.DirichletKernelProfile(base.n, 2, base), order)
+        got = sp.synthesize(field, target)
+        want = complex(sp.ProfileFunction(field).chart_values(list(target.z), target.t, target.h))
+        pieces = field.synthesis_pieces(target)
+        scale = sp._plancherel(base.n) * sum(abs(sp._laplace_sum([piece])) for piece in pieces)
+        assert abs(got - want) <= 8e-16 * scale
+
     @pytest.mark.parametrize("separation", [12.0, 200.0])
     def test_far_separated_points_match_the_kernel(self, separation):
         # The frequency integrand oscillates ever faster as the points move
