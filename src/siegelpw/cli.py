@@ -301,11 +301,11 @@ def _rel(lhs: complex, rhs: complex) -> float:
 
 
 def _worst_case(cases: Sequence[tuple[float, complex, complex]]) -> tuple[float, complex, complex]:
-    """The ``(error, lhs, rhs)`` case that sets ``max(0.0, *errors)``; ties
-    keep the earlier case."""
+    """The ``(error, lhs, rhs)`` case that sets ``max(0.0, *errors)``, a NaN
+    error counting as the worst; ties keep the earlier case."""
     worst = (0.0, cases[0][1], cases[0][2])
     for case in cases:
-        if case[0] > worst[0]:
+        if case[0] > worst[0] or (math.isnan(case[0]) and not math.isnan(worst[0])):
             worst = case
     return worst
 
@@ -754,7 +754,9 @@ class IdentityRow:
     there), or with ``weights`` the squared norm of their combination.  The
     row reports the worst space by ``compare``; a NaN error is the worst.  A
     chart pass runs on ``preset`` (see :func:`_chart_rules`), laid out for
-    the first space's functions."""
+    the first space's functions; a row whose chart entries are center
+    products alone (:func:`siegelpw.kernels.center_only`) runs none and
+    names no layout."""
 
     check_id: str
     anchor: str
@@ -783,7 +785,7 @@ class IdentityRow:
     def run(self, cfg: SuiteConfig, rng) -> CheckData:
         cases = self.cases(cfg, rng)
         rules = label = None
-        if "chart" in self.methods:
+        if "chart" in self.methods and not all(kr.center_only(f, tag, self.entry) for tag, f in cases):
             rules, label = _chart_rules(cfg, cases[0][1], self.preset)
         try:
             found = [
@@ -892,8 +894,8 @@ SUITES: Mapping[str, tuple[CheckSpec, ...]] = {
         IdentityRow("dirichlet-constant-slice", "constants reproduce through the full kernel", lambda rng, cfg: [
                     sp.ProfileFunction(sp.FiniteProfile(cfg.n, ()), 0.75 - 0.4j), _rand_interior(rng, cfg.n)],
                     lambda cfg: [kr.DirichletLog(cfg.n + 1)], ("chart", "kernel"), 1e-10, 1e-8, (0, 1), "absolute",
-                    note="the chart part of M[0, 1] vanishes by construction (a constant's height derivative "
-                    "is the empty field), so the row tests the center term"),
+                    note="no chart pass runs: a constant's height derivative is the empty field, so the "
+                    "chart side of M[0, 1] is the product of the center values"),
         CheckSpec("dirichlet-difference-report", "growth-envelope ratio (report only)", _check_dirichlet_difference_report),
         IdentityRow("dirichlet-gram-identity", "combination norm equals Gram value", _points(3),
                     lambda cfg: [kr.DirichletLog(cfg.n + 1, dotted=True)], ("chart", "kernel"), 1e-3, 2e-2,

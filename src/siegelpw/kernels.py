@@ -79,6 +79,7 @@ __all__ = [
     "KERNEL_QUADRATURE_RULES",
     "space_inner_product",
     "chart_entry",
+    "center_only",
     "spectral_entry",
     "kernel_entry",
     "reproducing_check",
@@ -355,7 +356,12 @@ class FunctionCombination:
         return sp._gram_anchors([f for _, f in self.terms])
 
     def chart_values(self, z_components, t, h):
-        return sp._combination_values(self.terms, z_components, t, h)
+        return self.block_values(sp._ChartBlock(z_components, t, h))
+
+    def block_values(self, block):
+        """Values on a chart block, sharing the block's pairing powers with
+        every other function of the pass."""
+        return sp._combination_values(self.terms, block)
 
     def height_derivative(self, order: int) -> "FunctionCombination":
         if order == 0:
@@ -369,8 +375,9 @@ def space_inner_product(F, G, tag, rules: sp.ChartNormRules | None = None) -> co
     """Inner product ``<F, G>`` in the tagged space, linear in ``F`` and
     conjugate-linear in ``G``: the off-diagonal entry of the pair's Gram matrix
     (:func:`siegelpw.spectral.space_gram`).  One streamed chart pass evaluates
-    each function once per grid block; the tail-drift guard adds a stretched
-    pass and watches ``||F + G||^2``.
+    each function and each distinct pairing power once per grid block; the
+    tail-drift guard adds a stretched pass that contracts only ``F + G`` and
+    compares ``||F + G||^2`` with the sum of the base pass's Gram matrix.
     """
     return complex(sp.space_gram([F, G], tag, rules or KERNEL_QUADRATURE_RULES)[0, 1])
 
@@ -387,13 +394,37 @@ def space_inner_product(F, G, tag, rules: sp.ChartNormRules | None = None) -> co
 # diagonal also a combination of slices.
 
 
+def _is_constant(F) -> bool:
+    """Whether ``F`` is a constant: an empty finite field plus its constant."""
+    return isinstance(F, sp.ProfileFunction) and isinstance(F.profile, sp.FiniteProfile) and not F.profile.terms
+
+
+def center_only(functions, tag, entry=(0, 0)) -> bool:
+    """Whether the chart side of the entry needs no grid pass: off the
+    diagonal, in a space that pairs height derivatives of order >= 1, with a
+    constant on either side, whose derivative is identically zero.  The entry
+    is then its product of center values (0 outside the endpoint space)."""
+    j, k = entry
+    if j == k or not sp._tag_data(tag, functions[j].n)[1]:
+        return False
+    return _is_constant(functions[j]) or _is_constant(functions[k])
+
+
 def chart_entry(functions, tag, entry=(0, 0), rules: sp.ChartNormRules | None = None):
     """By tensor-product chart quadrature over the two functions the entry
-    pairs (:func:`siegelpw.spectral.space_norm_sq` on the diagonal)."""
+    pairs (:func:`siegelpw.spectral.space_norm_sq` on the diagonal), or by
+    the center product alone where the derivative part is zero
+    (:func:`center_only`)."""
     j, k = entry
     if j == k:
         return sp.space_norm_sq(functions[j], tag, rules)
-    return space_inner_product(functions[j], functions[k], tag, rules)
+    pair = [functions[j], functions[k]]
+    if not center_only(functions, tag, entry):
+        return space_inner_product(*pair, tag, rules)
+    gram = np.zeros((2, 2), dtype=np.complex128)
+    if sp._tag_data(tag, pair[0].n)[3]:
+        sp._add_center_products(gram, pair)
+    return complex(gram[0, 1])
 
 
 def spectral_entry(functions, tag, entry=(0, 0), rules=None):
@@ -423,7 +454,7 @@ def kernel_entry(functions, tag, entry=(0, 0), rules=None):
         if value.real <= 0.0:
             raise InvalidParameterError("the Gram value degenerated; pick independent points")
         return value.real
-    if isinstance(F.profile, sp.FiniteProfile) and not F.profile.terms:
+    if _is_constant(F):
         return F.constant
     value = kernel_eval(tag, functions[k].profile.base, F.profile.base)
     return value.real if j == k else value

@@ -751,16 +751,72 @@ def synthesize_dirichlet(
 # --------------------------------------------------------------------------
 
 
-def _closed_profile_values(profile: SpectralProfile, z_components, t, h):
-    """Closed-form chart values of the synthesized function."""
+class _ChartBlock:
+    """Chart coordinates of one block of a pass and the pairing powers taken
+    on it: each ``(anchor, order)`` power is computed once per block and
+    shared by every function evaluated there.
+
+    ``uses`` counts the requests for each power on a block of the pass (see
+    :class:`_RequestCount`); a power is then kept only until its last
+    request, and one requested once is never kept, so a pass holds no more
+    block-sized arrays than it needs.  Without it every power is kept for
+    the whole block.  The shared arrays are read, never written.  Kernel
+    slices and combinations scale a power as ``P * c``, the operand order
+    NumPy gives a temporary array; ``c * P`` rounds a complex product
+    differently.
+    """
+
+    def __init__(self, z_components, t, h, uses: Mapping | None = None):
+        self.z_components, self.t, self.h = z_components, t, h
+        self.requests: dict = {}
+        self._uses = uses
+        self._powers: dict = {}
+
+    def power(self, anchor, s: float):
+        """``q**-s`` of the pairing against ``anchor`` (see :func:`_pairing_power`)."""
+        key = (tuple(anchor.z.tolist()), anchor.t, anchor.h, float(s))
+        count = self.requests[key] = self.requests.get(key, 0) + 1
+        value = self._powers.pop(key, None)
+        if value is None:
+            value = self._compute(anchor, s)
+        if self._uses is None or count < self._uses.get(key, 0):
+            self._powers[key] = value
+        return value
+
+    def _compute(self, anchor, s: float):
+        return _pairing_power(*pairing_parts(self.z_components, self.t, self.h, anchor), s)
+
+
+class _RequestCount(_ChartBlock):
+    """A dry block at the center on which every pairing power reads 1: an
+    evaluation there only counts the requests a block of the pass makes."""
+
+    def __init__(self, n: int):
+        super().__init__([0j] * n, 0.0, 1.0)
+
+    def _compute(self, anchor, s: float):
+        return 1.0
+
+
+def _block_values(F, block: _ChartBlock):
+    """Values of a chart function on a block: through the block's shared
+    pairing powers for a function that takes them (``block_values``), else
+    through its ``chart_values``."""
+    values = getattr(F, "block_values", None)
+    if values is not None:
+        return values(block)
+    return F.chart_values(block.z_components, block.t, block.h)
+
+
+def _closed_profile_values(profile: SpectralProfile, block: _ChartBlock):
+    """Closed-form chart values of the synthesized function on a block."""
     base, order = _unwrap_derived(profile)
     n = base.n
     if isinstance(base, KernelProfile):
-        re, im = pairing_parts(z_components, t, h, base.base)
         s = n + 2.0 + base.nu + order
         sign = -1.0 if order % 2 else 1.0
         amp = sign * base.normalization * _plancherel(n) * math.gamma(s)
-        return amp * _pairing_power(re, im, s)
+        return block.power(base.base, s) * amp
     if isinstance(base, FiniteProfile):
         sign = -1.0 if order % 2 else 1.0
         # Without terms the values are a zero that broadcasts over the block.
@@ -769,10 +825,11 @@ def _closed_profile_values(profile: SpectralProfile, z_components, t, h):
             s = n + 1.0 + term.power + 0.5 * term.alpha.degree + order
             amp = sign * np.conj(term.coefficient) * _slot_amplitude(term.alpha) * _plancherel(n)
             amp = amp * math.gamma(s)
-            power = _pairing_power(*pairing_parts(z_components, t, h, _axis_point(n, term.decay)), s)
-            total = total + amp * _monomial(z_components, term.alpha) * power
+            power = block.power(_axis_point(n, term.decay), s)
+            total = total + amp * _monomial(block.z_components, term.alpha) * power
         return total
     if isinstance(base, DirichletKernelProfile):
+        z_components, t, h = block.z_components, block.t, block.h
         if order == 0:
             center = base_point(n)
             at_base = _pairing_form(z_components, t, h, base.base)
@@ -782,8 +839,8 @@ def _closed_profile_values(profile: SpectralProfile, z_components, t, h):
                 np.log(at_center) - np.log(at_base) + np.log(fixed) - math.log(2.0)
             )
         amp, anchor, _ = _log_derivative_split(profile)
-        at_base = _pairing_power(*pairing_parts(z_components, t, h, anchor), order)
-        return amp * (at_base - _center_power(z_components, t, h, order))
+        at_base = block.power(anchor, order)
+        return amp * (at_base - block.power(base_point(n), order))
     raise InvalidParameterError(f"no closed form for profile type {type(base).__name__}")
 
 
@@ -799,16 +856,11 @@ def _log_derivative_split(profile: SpectralProfile):
     return base.normalization * _plancherel(base.n) * sign * math.gamma(order), base.base, order
 
 
-def _center_power(z_components, t, h, order: int):
-    """The pairing power of the given order against the center (0, 0, 1)."""
-    return _pairing_power(*pairing_parts(z_components, t, h, base_point(len(z_components))), order)
-
-
-def _combination_values(terms, z_components, t, h):
-    """Chart values of ``sum c * F`` over ``(c, F)`` terms.  Closed-form
-    height derivatives of logarithmic slices share one center power per
-    order: ``sum c_j a_j (P_j - P_c) = sum c_j a_j P_j - (sum c_j a_j) P_c``,
-    so K such slices take K + 1 pairing powers instead of 2K."""
+def _combination_values(terms, block: _ChartBlock):
+    """Values of ``sum c * F`` over ``(c, F)`` terms on a block.  Closed-form
+    height derivatives of logarithmic slices are summed as ``sum c_j a_j P_j
+    - (sum c_j a_j) P_c``, one center term per order instead of one per
+    slice."""
     total = None
     shared: dict[int, complex] = {}
     for coeff, func in terms:
@@ -816,15 +868,16 @@ def _combination_values(terms, z_components, t, h):
         if isinstance(func, ProfileFunction) and not func.constant:
             split = _log_derivative_split(func.profile)
         if split is None:
-            piece = coeff * np.asarray(func.chart_values(z_components, t, h), dtype=np.complex128)
+            piece = coeff * np.asarray(_block_values(func, block), dtype=np.complex128)
         else:
             amp, anchor, order = split
             scale = coeff * amp
             shared[order] = shared.get(order, 0.0) + scale
-            piece = scale * _pairing_power(*pairing_parts(z_components, t, h, anchor), order)
+            piece = block.power(anchor, order) * scale
         total = piece if total is None else total + piece
+    n = len(block.z_components)
     for order, scale in shared.items():
-        total = total - scale * _center_power(z_components, t, h, order)
+        total = total - block.power(base_point(n), order) * scale
     return total
 
 
@@ -883,7 +936,12 @@ class ProfileFunction:
         return _profile_anchors(self.profile)
 
     def chart_values(self, z_components, t, h) -> np.ndarray:
-        values = _closed_profile_values(self.profile, z_components, t, h)
+        return self.block_values(_ChartBlock(z_components, t, h))
+
+    def block_values(self, block: _ChartBlock) -> np.ndarray:
+        """Values on a chart block, sharing the block's pairing powers with
+        every other function of the pass."""
+        values = _closed_profile_values(self.profile, block)
         return values + self.constant if self.constant else values
 
     def height_derivative(self, order: int) -> "ProfileFunction":
@@ -1097,8 +1155,10 @@ class ChartNormRules:
     the polar Jacobian folded in) and a periodic angle axis; the transverse
     axis uses the whole-line algebraic-tail map; the height axis carries the
     space's weight exactly near 0 and an exponential-stretch far field.  Tail
-    drift monitoring recomputes the integral with the far fields pushed
-    outward and flags growth (divergence) or disagreement (under-resolution).
+    drift monitoring recomputes ``||sum_j F_j||^2``, the squared norm of the
+    pass's functions' sum, with the far fields pushed outward; that stretched
+    pass contracts only the sum, not the whole Gram matrix.  Growth flags
+    divergence, disagreement under-resolution.
 
     A pass over functions that declare their anchors runs in the anchors'
     frame on a reduced grid (see :func:`_chart_layout`): slots that the
@@ -1340,12 +1400,16 @@ def _accumulate(gram: np.ndarray, weights, values: Sequence[np.ndarray]) -> None
 
 
 def _chart_gram(
-    functions, n: int, height_beta: float | None, rules: ChartNormRules, fixed_height: float | None = None
+    functions, n: int, height_beta: float | None, rules: ChartNormRules, fixed_height: float | None = None,
+    total: bool = False,
 ) -> np.ndarray:
     """Weighted Gram matrix ``M[j, k] = sum w f_j conj(f_k)`` over the chart
     grid, in one pass over blocks of at most ``_BLOCK_POINTS`` points: each
-    block evaluates every function once and is contracted against its tensor
-    weights.
+    block evaluates every function once, every distinct pairing power once
+    (see :class:`_ChartBlock`; a dry evaluation first counts the requests),
+    and is contracted against its tensor weights.  With ``total`` the pass
+    contracts only the functions' sum: the 1 x 1 matrix ``||sum_j f_j||^2``,
+    on the same grid.
 
     A block takes the longest suffix of axes that fits in it whole, a chunk
     of the axis before that suffix, and one node of every earlier axis; a
@@ -1367,7 +1431,12 @@ def _chart_gram(
     tail_weights = reduce(np.multiply.outer, [axis.weights for axis in axes[chunked + 1 :]], np.ones(()))
     step = max(1, _BLOCK_POINTS // tail_weights.size)
     column = (-1,) + (1,) * tail_weights.ndim
-    gram = np.zeros((len(functions), len(functions)), dtype=np.complex128)
+    count = 1 if total else len(functions)
+    gram = np.zeros((count, count), dtype=np.complex128)
+    dry = _RequestCount(n)
+    for F in functions:
+        if hasattr(F, "block_values"):
+            F.block_values(dry)
     for lead in itertools.product(*(range(size) for size in sizes[:chunked])):
         lead_weight = math.prod(float(axis.weights[i]) for axis, i in zip(axes, lead))
         for start in range(0, sizes[chunked], step):
@@ -1379,8 +1448,9 @@ def _chart_gram(
             z_components, t = layout.chart_points(block, n)
             h_grid = block[-1] if height_beta is not None else fixed_height
             weights = lead_weight * axes[chunked].weights[start : start + step].reshape(column) * tail_weights
-            values = [np.asarray(F.chart_values(z_components, t, h_grid)) for F in functions]
-            _accumulate(gram, weights, values)
+            chart_block = _ChartBlock(z_components, t, h_grid, dry.requests)
+            values = [np.asarray(_block_values(F, chart_block)) for F in functions]
+            _accumulate(gram, weights, [reduce(np.add, values)] if total else values)
     return gram
 
 
@@ -1388,12 +1458,14 @@ def _checked_gram(
     functions, n: int, height_beta: float | None, rules: ChartNormRules, fixed_height: float | None = None
 ) -> np.ndarray:
     """Chart Gram matrix with the tail-drift guard on the squared norm of the
-    functions' sum, ``sum_jk M[j, k]``, from the base and stretched rules."""
+    functions' sum: ``sum_jk M[j, k]`` of the base pass against
+    ``||sum_j f_j||^2`` of a stretched pass, which contracts only that sum
+    (one entry, not the whole matrix)."""
     gram = _chart_gram(functions, n, height_beta, rules, fixed_height)
     if not rules.check_tails:
         return gram
-    stretched = _chart_gram(functions, n, height_beta, rules.stretched(), fixed_height)
-    value, stretched_value = float(gram.sum().real), float(stretched.sum().real)
+    stretched = _chart_gram(functions, n, height_beta, rules.stretched(), fixed_height, total=True)
+    value, stretched_value = float(gram.sum().real), float(stretched[0, 0].real)
     drift = abs(stretched_value - value) / max(abs(value), abs(stretched_value), 1e-300)
     if drift > rules.drift_tolerance:
         if stretched_value > value * (1.0 + rules.drift_tolerance):
@@ -1464,9 +1536,15 @@ def space_gram(functions: Sequence, tag: SpaceTag, rules: ChartNormRules | None 
     derived = [F.height_derivative(order) if order else F for F in functions]
     gram = _checked_gram(derived, n, height_beta, rules)
     if add_center:
-        center = [np.asarray(0.0 + 0.0j) for _ in range(n)]
-        _accumulate(gram, 1.0, [np.asarray(F.chart_values(center, 0.0, 1.0)) for F in functions])
+        _add_center_products(gram, functions)
     return gram
+
+
+def _add_center_products(gram: np.ndarray, functions: Sequence) -> None:
+    """Add ``F_j(c) conj(F_k(c))`` at the center ``c = (0, 0, 1)`` to
+    ``gram[j, k]``: the endpoint space's point term."""
+    center = [np.asarray(0.0 + 0.0j) for _ in range(functions[0].n)]
+    _accumulate(gram, 1.0, [np.asarray(F.chart_values(center, 0.0, 1.0)) for F in functions])
 
 
 def space_norm_sq(F, tag: SpaceTag, rules: ChartNormRules | None = None) -> float:

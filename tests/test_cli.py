@@ -234,9 +234,15 @@ class TestEvidenceRows:
         assert data.rel_error == error(data.lhs, data.rhs)
 
     def test_worst_case_is_the_first_arg_max(self):
-        cases = [(0.1, 1.0, 2.0), (0.3, 3.0, 4.0), (0.3, 5.0, 6.0), (math.nan, 7.0, 8.0)]
+        cases = [(0.1, 1.0, 2.0), (0.3, 3.0, 4.0), (0.3, 5.0, 6.0)]
         assert cli._worst_case(cases) == (0.3, 3.0, 4.0)
         assert cli._worst_case([(0.0, 1.0, 2.0), (0.0, 3.0, 4.0)]) == (0.0, 1.0, 2.0)
+        # A NaN error is the worst, wherever it stands; the first NaN wins.
+        cases += [(math.nan, 7.0, 8.0), (0.5, 9.0, 10.0), (math.nan, 11.0, 12.0)]
+        error, lhs, rhs = cli._worst_case(cases)
+        assert math.isnan(error) and (lhs, rhs) == (7.0, 8.0)
+        error, lhs, rhs = cli._worst_case([(math.nan, 1.0, 2.0)])
+        assert math.isnan(error) and (lhs, rhs) == (1.0, 2.0)
 
 
 class TestAnchorFrameRows:
@@ -369,6 +375,18 @@ class TestIdentityTable:
         ids = [spec.check_id for specs in cli.SUITES.values() for spec in specs]
         assert len(ids) == len(set(ids))
         assert sorted(ids) == ROW_IDS
+
+    @pytest.mark.parametrize("n, fast", [(2, False), (1, True)])
+    def test_constant_slice_runs_no_chart_pass(self, monkeypatch, n, fast):
+        # The constant's height derivative is zero, so the entry is its center
+        # product: exact, and with no grid pass (one would raise here).
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a chart pass ran")
+
+        monkeypatch.setattr(sp, "_chart_gram", no_pass)
+        result = cli._run_check(table_rows()["dirichlet-constant-slice"], cli.SuiteConfig(n=n, seed=1, fast=fast))
+        assert result.passed and result.rel_error == 0.0
+        assert result.rules.startswith("no chart pass runs: ")
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_parameter_rule_reproduces_the_hand_chosen_values(self, n):

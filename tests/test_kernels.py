@@ -735,6 +735,24 @@ class TestDirectInnerProduct:
         )[0, 1]
         assert full - volume == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("kid", [kr.DirichletLog(2), kr.WeightedDirichlet(-1.5, 1), kr.Bergman(0.0)])
+    def test_a_constant_entry_is_its_center_product(self, monkeypatch, kid):
+        # A constant's derivative of order >= 1 is zero, so off the diagonal
+        # the chart entry is the center product (0 outside the endpoint
+        # space) with the bits of a full pass, and no pass runs; Bergman
+        # pairs the constant itself and keeps its pass.
+        constant = sp.ProfileFunction(sp.FiniteProfile(1, ()), 0.75 - 0.4j)
+        functions = [constant, next(self._pair(kid))]
+        full = kr.space_inner_product(*functions, kid, SMALL_RULES)
+        assert kr.center_only(functions, kid, (0, 1)) == (not isinstance(kid, kr.Bergman))
+        assert not kr.center_only(functions, kid, (0, 0))
+        if isinstance(kid, kr.Bergman):
+            return
+        monkeypatch.setattr(sp, "_chart_gram", None)
+        for entry, value in (((0, 1), full), ((1, 0), full.conjugate())):
+            assert kr.chart_entry(functions, kid, entry, SMALL_RULES) == value
+        assert (full == 0.0) == isinstance(kid, kr.WeightedDirichlet)
+
     @pytest.mark.parametrize(
         "kid, tag, error",
         [

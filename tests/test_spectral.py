@@ -1092,6 +1092,18 @@ class Unanchored:
         return Unanchored(self.function.height_derivative(order))
 
 
+class Unshared:
+    """A chart function evaluated on its own, keeping its anchors but not the
+    pass's shared pairing powers: the per-function reference of a pass."""
+
+    def __init__(self, function):
+        self.function, self.n = function, function.n
+        self.chart_anchors = function.chart_anchors
+
+    def chart_values(self, z_components, t, h):
+        return self.function.chart_values(z_components, t, h)
+
+
 def full_grid_gram(functions, n, height_beta, rules, fixed_height=None):
     """One-shot reference: evaluate every function on the whole tensor grid
     and contract each product f_j conj(f_k) one axis at a time."""
@@ -1189,6 +1201,61 @@ class TestStreamedGram:
         assert calls == [4 * tail, 4 * tail, 2 * tail, 2 * tail] * sizes[0]
         assert max(calls) <= sp._BLOCK_POINTS
         assert sum(calls[::2]) == math.prod(sizes)
+
+    @staticmethod
+    def log_slice_pass(monkeypatch, functions):
+        """Gram of a pass in the endpoint space's weight on TINY_RULES, in
+        blocks of 500 points, with the pairing powers and blocks it makes."""
+        powers, blocks = [], []
+        power, chart_points = sp._pairing_power, sp._ChartLayout.chart_points
+        monkeypatch.setattr(sp, "_pairing_power", lambda *a: powers.append(a[2]) or power(*a))
+        monkeypatch.setattr(sp._ChartLayout, "chart_points", lambda *a: blocks.append(1) or chart_points(*a))
+        monkeypatch.setattr(sp, "_BLOCK_POINTS", 500)
+        gram = sp._chart_gram(functions, 1, sp._tag_data(sp.Dirichlet(2), 1)[0], TINY_RULES)
+        monkeypatch.undo()
+        return gram, len(powers), len(blocks)
+
+    def test_slices_share_each_pairing_power_of_a_block(self, monkeypatch):
+        # Two full logarithmic slices make their own powers and the center's,
+        # 3 per block instead of 4, and the Gram keeps every bit.
+        slices = [
+            sp.ProfileFunction(sp.DirichletKernelProfile(1, 2, base), 1.0).height_derivative(2)
+            for base in (GENERIC_BASE_1, point([-0.2 + 0.4j], 0.5, 1.3))
+        ]
+        shared, powers, blocks = self.log_slice_pass(monkeypatch, slices)
+        reference, reference_powers, reference_blocks = self.log_slice_pass(
+            monkeypatch, [Unshared(F) for F in slices]
+        )
+        assert blocks == reference_blocks > 1
+        assert (powers, reference_powers) == (3 * blocks, 4 * blocks)
+        assert np.array_equal(shared, reference)
+
+    def test_a_block_keeps_a_power_until_its_last_request(self):
+        F, G = (
+            sp.ProfileFunction(sp.DirichletKernelProfile(1, 2, base)).height_derivative(2)
+            for base in (GENERIC_BASE_1, point([-0.2 + 0.4j], 0.5, 1.3))
+        )
+        counted = sp._RequestCount(1)
+        for function in (F, G):
+            function.block_values(counted)
+        assert sorted(counted.requests.values()) == [1, 1, 2]
+        block = sp._ChartBlock([np.linspace(0.1, 1.0, 4)], 0.2, 0.9, counted.requests)
+        values = F.block_values(block)
+        assert len(block._powers) == 1  # the center's, which G still needs
+        assert np.array_equal(values, F.chart_values([np.linspace(0.1, 1.0, 4)], 0.2, 0.9))
+        G.block_values(block)
+        assert block._powers == {} and block.requests == counted.requests
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_total_pass_is_the_sum_of_the_gram(self, n):
+        rules = TINY_RULES if n == 1 else TINY_RULES_2
+        log = sp.ProfileFunction(sp.DirichletKernelProfile(n, n + 1, GENERIC_BASE_1 if n == 1 else GENERIC_BASE_2))
+        for functions in (streamed_functions(n), streamed_functions(n)[:2] + (log.height_derivative(1),)):
+            stretched = rules.stretched()
+            full = sp._chart_gram(functions, n, 0.5, stretched).sum()
+            total = sp._chart_gram(functions, n, 0.5, stretched, total=True)
+            assert total.shape == (1, 1) and total[0, 0].imag == 0.0
+            assert abs(total[0, 0] - full) <= 1e-13 * abs(full)
 
     def test_norm_is_the_gram_diagonal(self):
         # The constant adds no anchor, so the pair runs on the slice's grid.
