@@ -754,9 +754,9 @@ class IdentityRow:
     there), or with ``weights`` the squared norm of their combination.  The
     row reports the worst space by ``compare``; a NaN error is the worst.  A
     chart pass runs on ``preset`` (see :func:`_chart_rules`), laid out for
-    the first space's functions; a row whose chart entries are center
-    products alone (:func:`siegelpw.kernels.center_only`) runs none and
-    names no layout."""
+    the first space's functions.  A row whose chart entries are center
+    products alone (see :func:`siegelpw.kernels.chart_entry`) runs no pass;
+    its ``preset`` is ``None`` and it names no layout."""
 
     check_id: str
     anchor: str
@@ -768,7 +768,7 @@ class IdentityRow:
     entry: tuple[int, int] = (0, 0)
     compare: str = "relative"
     weights: tuple[complex, ...] = ()
-    preset: sp.ChartNormRules = kr.KERNEL_QUADRATURE_RULES
+    preset: sp.ChartNormRules | None = kr.KERNEL_QUADRATURE_RULES
     note: str = ""
 
     def cases(self, cfg: SuiteConfig, rng) -> list[tuple[sp.SpaceTag, list]]:
@@ -785,7 +785,7 @@ class IdentityRow:
     def run(self, cfg: SuiteConfig, rng) -> CheckData:
         cases = self.cases(cfg, rng)
         rules = label = None
-        if "chart" in self.methods and not all(kr.center_only(f, tag, self.entry) for tag, f in cases):
+        if "chart" in self.methods and self.preset is not None:
             rules, label = _chart_rules(cfg, cases[0][1], self.preset)
         try:
             found = [
@@ -894,7 +894,7 @@ SUITES: Mapping[str, tuple[CheckSpec, ...]] = {
         IdentityRow("dirichlet-constant-slice", "constants reproduce through the full kernel", lambda rng, cfg: [
                     sp.ProfileFunction(sp.FiniteProfile(cfg.n, ()), 0.75 - 0.4j), _rand_interior(rng, cfg.n)],
                     lambda cfg: [kr.DirichletLog(cfg.n + 1)], ("chart", "kernel"), 1e-10, 1e-8, (0, 1), "absolute",
-                    note="no chart pass runs: a constant's height derivative is the empty field, so the "
+                    preset=None, note="no chart pass runs: a constant's height derivative is the empty field, so the "
                     "chart side of M[0, 1] is the product of the center values"),
         CheckSpec("dirichlet-difference-report", "growth-envelope ratio (report only)", _check_dirichlet_difference_report),
         IdentityRow("dirichlet-gram-identity", "combination norm equals Gram value", _points(3),

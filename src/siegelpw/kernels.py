@@ -79,7 +79,6 @@ __all__ = [
     "KERNEL_QUADRATURE_RULES",
     "space_inner_product",
     "chart_entry",
-    "center_only",
     "spectral_entry",
     "kernel_entry",
     "reproducing_check",
@@ -375,8 +374,8 @@ def space_inner_product(F, G, tag, rules: sp.ChartNormRules | None = None) -> co
     """Inner product ``<F, G>`` in the tagged space, linear in ``F`` and
     conjugate-linear in ``G``: the off-diagonal entry of the pair's Gram matrix
     (:func:`siegelpw.spectral.space_gram`).  One streamed chart pass evaluates
-    each function and each distinct pairing power once per grid block; the
-    tail-drift guard adds a stretched pass that contracts only ``F + G`` and
+    each function once per grid block, and the center's pairing power once
+    for both; the tail-drift guard adds a stretched pass that contracts only ``F + G`` and
     compares ``||F + G||^2`` with the sum of the base pass's Gram matrix.
     """
     return complex(sp.space_gram([F, G], tag, rules or KERNEL_QUADRATURE_RULES)[0, 1])
@@ -399,32 +398,25 @@ def _is_constant(F) -> bool:
     return isinstance(F, sp.ProfileFunction) and isinstance(F.profile, sp.FiniteProfile) and not F.profile.terms
 
 
-def center_only(functions, tag, entry=(0, 0)) -> bool:
-    """Whether the chart side of the entry needs no grid pass: off the
-    diagonal, in a space that pairs height derivatives of order >= 1, with a
-    constant on either side, whose derivative is identically zero.  The entry
-    is then its product of center values (0 outside the endpoint space)."""
-    j, k = entry
-    if j == k or not sp._tag_data(tag, functions[j].n)[1]:
-        return False
-    return _is_constant(functions[j]) or _is_constant(functions[k])
-
-
 def chart_entry(functions, tag, entry=(0, 0), rules: sp.ChartNormRules | None = None):
     """By tensor-product chart quadrature over the two functions the entry
-    pairs (:func:`siegelpw.spectral.space_norm_sq` on the diagonal), or by
-    the center product alone where the derivative part is zero
-    (:func:`center_only`)."""
-    j, k = entry
-    if j == k:
-        return sp.space_norm_sq(functions[j], tag, rules)
-    pair = [functions[j], functions[k]]
-    if not center_only(functions, tag, entry):
-        return space_inner_product(*pair, tag, rules)
-    gram = np.zeros((2, 2), dtype=np.complex128)
-    if sp._tag_data(tag, pair[0].n)[3]:
-        sp._add_center_products(gram, pair)
-    return complex(gram[0, 1])
+    pairs (:func:`siegelpw.spectral.space_norm_sq` on the diagonal).
+
+    Off the diagonal, in a space that pairs height derivatives of order
+    >= 1, a constant on either side has an identically zero derivative, so
+    the entry is the product of the center values alone (0 outside the
+    endpoint space) and no pass runs.  The other function is then not
+    checked for membership in the space: no tail-drift guard runs either."""
+    F, G = functions[entry[0]], functions[entry[1]]
+    if entry[0] == entry[1]:
+        return sp.space_norm_sq(F, tag, rules)
+    _, order, _, add_center = sp._tag_data(tag, F.n)
+    if not (order and (_is_constant(F) or _is_constant(G))):
+        return space_inner_product(F, G, tag, rules)
+    if not add_center:
+        return 0j
+    center = [np.asarray(0.0 + 0.0j) for _ in range(F.n)]
+    return complex(F.chart_values(center, 0.0, 1.0) * np.conj(G.chart_values(center, 0.0, 1.0)))
 
 
 def spectral_entry(functions, tag, entry=(0, 0), rules=None):

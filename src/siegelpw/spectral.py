@@ -752,50 +752,31 @@ def synthesize_dirichlet(
 
 
 class _ChartBlock:
-    """Chart coordinates of one block of a pass and the pairing powers taken
-    on it: each ``(anchor, order)`` power is computed once per block and
-    shared by every function evaluated there.
+    """Chart coordinates of one block of a pass.  The pairing power against
+    the center (0, 0, 1) is computed once per order and block and shared by
+    every function evaluated there: each logarithmic slice of a pass
+    subtracts it (see :func:`_log_derivative_split`).  Other powers are
+    computed per request.
 
-    ``uses`` counts the requests for each power on a block of the pass (see
-    :class:`_RequestCount`); a power is then kept only until its last
-    request, and one requested once is never kept, so a pass holds no more
-    block-sized arrays than it needs.  Without it every power is kept for
-    the whole block.  The shared arrays are read, never written.  Kernel
-    slices and combinations scale a power as ``P * c``, the operand order
-    NumPy gives a temporary array; ``c * P`` rounds a complex product
-    differently.
+    The shared power is read, never written, and is scaled as ``P * c``:
+    NumPy computes ``c * T`` of a temporary ``T`` in place as ``T * c``, and
+    ``c * P`` of a kept array rounds a complex product differently.
     """
 
-    def __init__(self, z_components, t, h, uses: Mapping | None = None):
+    def __init__(self, z_components, t, h):
         self.z_components, self.t, self.h = z_components, t, h
-        self.requests: dict = {}
-        self._uses = uses
-        self._powers: dict = {}
+        self._center: dict[int, np.ndarray] = {}
 
     def power(self, anchor, s: float):
         """``q**-s`` of the pairing against ``anchor`` (see :func:`_pairing_power`)."""
-        key = (tuple(anchor.z.tolist()), anchor.t, anchor.h, float(s))
-        count = self.requests[key] = self.requests.get(key, 0) + 1
-        value = self._powers.pop(key, None)
-        if value is None:
-            value = self._compute(anchor, s)
-        if self._uses is None or count < self._uses.get(key, 0):
-            self._powers[key] = value
-        return value
-
-    def _compute(self, anchor, s: float):
         return _pairing_power(*pairing_parts(self.z_components, self.t, self.h, anchor), s)
 
-
-class _RequestCount(_ChartBlock):
-    """A dry block at the center on which every pairing power reads 1: an
-    evaluation there only counts the requests a block of the pass makes."""
-
-    def __init__(self, n: int):
-        super().__init__([0j] * n, 0.0, 1.0)
-
-    def _compute(self, anchor, s: float):
-        return 1.0
+    def center_power(self, order: int):
+        """The pairing power of the given order against the center."""
+        value = self._center.get(order)
+        if value is None:
+            value = self._center[order] = self.power(base_point(len(self.z_components)), order)
+        return value
 
 
 def _block_values(F, block: _ChartBlock):
@@ -816,7 +797,7 @@ def _closed_profile_values(profile: SpectralProfile, block: _ChartBlock):
         s = n + 2.0 + base.nu + order
         sign = -1.0 if order % 2 else 1.0
         amp = sign * base.normalization * _plancherel(n) * math.gamma(s)
-        return block.power(base.base, s) * amp
+        return amp * block.power(base.base, s)
     if isinstance(base, FiniteProfile):
         sign = -1.0 if order % 2 else 1.0
         # Without terms the values are a zero that broadcasts over the block.
@@ -840,7 +821,7 @@ def _closed_profile_values(profile: SpectralProfile, block: _ChartBlock):
             )
         amp, anchor, _ = _log_derivative_split(profile)
         at_base = block.power(anchor, order)
-        return amp * (at_base - block.power(base_point(n), order))
+        return amp * (at_base - block.center_power(order))
     raise InvalidParameterError(f"no closed form for profile type {type(base).__name__}")
 
 
@@ -873,11 +854,10 @@ def _combination_values(terms, block: _ChartBlock):
             amp, anchor, order = split
             scale = coeff * amp
             shared[order] = shared.get(order, 0.0) + scale
-            piece = block.power(anchor, order) * scale
+            piece = scale * block.power(anchor, order)
         total = piece if total is None else total + piece
-    n = len(block.z_components)
     for order, scale in shared.items():
-        total = total - block.power(base_point(n), order) * scale
+        total = total - block.center_power(order) * scale
     return total
 
 
@@ -1405,11 +1385,10 @@ def _chart_gram(
 ) -> np.ndarray:
     """Weighted Gram matrix ``M[j, k] = sum w f_j conj(f_k)`` over the chart
     grid, in one pass over blocks of at most ``_BLOCK_POINTS`` points: each
-    block evaluates every function once, every distinct pairing power once
-    (see :class:`_ChartBlock`; a dry evaluation first counts the requests),
-    and is contracted against its tensor weights.  With ``total`` the pass
-    contracts only the functions' sum: the 1 x 1 matrix ``||sum_j f_j||^2``,
-    on the same grid.
+    block evaluates every function once, and the center's pairing power once
+    for all of them (see :class:`_ChartBlock`), and is contracted against its
+    tensor weights.  With ``total`` the pass contracts only the functions'
+    sum: the 1 x 1 matrix ``||sum_j f_j||^2``, on the same grid.
 
     A block takes the longest suffix of axes that fits in it whole, a chunk
     of the axis before that suffix, and one node of every earlier axis; a
@@ -1433,10 +1412,6 @@ def _chart_gram(
     column = (-1,) + (1,) * tail_weights.ndim
     count = 1 if total else len(functions)
     gram = np.zeros((count, count), dtype=np.complex128)
-    dry = _RequestCount(n)
-    for F in functions:
-        if hasattr(F, "block_values"):
-            F.block_values(dry)
     for lead in itertools.product(*(range(size) for size in sizes[:chunked])):
         lead_weight = math.prod(float(axis.weights[i]) for axis, i in zip(axes, lead))
         for start in range(0, sizes[chunked], step):
@@ -1448,8 +1423,9 @@ def _chart_gram(
             z_components, t = layout.chart_points(block, n)
             h_grid = block[-1] if height_beta is not None else fixed_height
             weights = lead_weight * axes[chunked].weights[start : start + step].reshape(column) * tail_weights
-            chart_block = _ChartBlock(z_components, t, h_grid, dry.requests)
+            chart_block = _ChartBlock(z_components, t, h_grid)
             values = [np.asarray(_block_values(F, chart_block)) for F in functions]
+            del chart_block  # frees the shared center power before the contraction
             _accumulate(gram, weights, [reduce(np.add, values)] if total else values)
     return gram
 
@@ -1536,15 +1512,9 @@ def space_gram(functions: Sequence, tag: SpaceTag, rules: ChartNormRules | None 
     derived = [F.height_derivative(order) if order else F for F in functions]
     gram = _checked_gram(derived, n, height_beta, rules)
     if add_center:
-        _add_center_products(gram, functions)
+        center = [np.asarray(0.0 + 0.0j) for _ in range(n)]
+        _accumulate(gram, 1.0, [np.asarray(F.chart_values(center, 0.0, 1.0)) for F in functions])
     return gram
-
-
-def _add_center_products(gram: np.ndarray, functions: Sequence) -> None:
-    """Add ``F_j(c) conj(F_k(c))`` at the center ``c = (0, 0, 1)`` to
-    ``gram[j, k]``: the endpoint space's point term."""
-    center = [np.asarray(0.0 + 0.0j) for _ in range(functions[0].n)]
-    _accumulate(gram, 1.0, [np.asarray(F.chart_values(center, 0.0, 1.0)) for F in functions])
 
 
 def space_norm_sq(F, tag: SpaceTag, rules: ChartNormRules | None = None) -> float:

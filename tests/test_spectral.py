@@ -1094,7 +1094,7 @@ class Unanchored:
 
 class Unshared:
     """A chart function evaluated on its own, keeping its anchors but not the
-    pass's shared pairing powers: the per-function reference of a pass."""
+    pass's shared center power: the per-function reference of a pass."""
 
     def __init__(self, function):
         self.function, self.n = function, function.n
@@ -1216,8 +1216,8 @@ class TestStreamedGram:
         return gram, len(powers), len(blocks)
 
     def test_slices_share_each_pairing_power_of_a_block(self, monkeypatch):
-        # Two full logarithmic slices make their own powers and the center's,
-        # 3 per block instead of 4, and the Gram keeps every bit.
+        # Two full logarithmic slices make their own powers and share the
+        # center's, 3 per block instead of 4, and the Gram keeps every bit.
         slices = [
             sp.ProfileFunction(sp.DirichletKernelProfile(1, 2, base), 1.0).height_derivative(2)
             for base in (GENERIC_BASE_1, point([-0.2 + 0.4j], 0.5, 1.3))
@@ -1229,22 +1229,6 @@ class TestStreamedGram:
         assert blocks == reference_blocks > 1
         assert (powers, reference_powers) == (3 * blocks, 4 * blocks)
         assert np.array_equal(shared, reference)
-
-    def test_a_block_keeps_a_power_until_its_last_request(self):
-        F, G = (
-            sp.ProfileFunction(sp.DirichletKernelProfile(1, 2, base)).height_derivative(2)
-            for base in (GENERIC_BASE_1, point([-0.2 + 0.4j], 0.5, 1.3))
-        )
-        counted = sp._RequestCount(1)
-        for function in (F, G):
-            function.block_values(counted)
-        assert sorted(counted.requests.values()) == [1, 1, 2]
-        block = sp._ChartBlock([np.linspace(0.1, 1.0, 4)], 0.2, 0.9, counted.requests)
-        values = F.block_values(block)
-        assert len(block._powers) == 1  # the center's, which G still needs
-        assert np.array_equal(values, F.chart_values([np.linspace(0.1, 1.0, 4)], 0.2, 0.9))
-        G.block_values(block)
-        assert block._powers == {} and block.requests == counted.requests
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_total_pass_is_the_sum_of_the_gram(self, n):
