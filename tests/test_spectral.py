@@ -1215,7 +1215,7 @@ class TestStreamedGram:
         monkeypatch.undo()
         return gram, len(powers), len(blocks)
 
-    def test_slices_share_each_pairing_power_of_a_block(self, monkeypatch):
+    def test_slices_share_the_center_power_of_a_block(self, monkeypatch):
         # Two full logarithmic slices make their own powers and share the
         # center's, 3 per block instead of 4, and the Gram keeps every bit.
         slices = [
