@@ -25,7 +25,7 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -302,12 +302,24 @@ def _rel(lhs: complex, rhs: complex) -> float:
 
 def _worst_case(cases: Sequence[tuple[float, complex, complex]]) -> tuple[float, complex, complex]:
     """The ``(error, lhs, rhs)`` case that sets ``max(0.0, *errors)``, a NaN
-    error counting as the worst; ties keep the earlier case."""
+    error counting as the worst; ties keep the earlier case.  It is the one
+    reduction of every verify row (bare errors go through :func:`_worst_error`)."""
     worst = (0.0, cases[0][1], cases[0][2])
     for case in cases:
         if case[0] > worst[0] or (math.isnan(case[0]) and not math.isnan(worst[0])):
             worst = case
     return worst
+
+
+def _worst_error(errors: Iterable[float]) -> float:
+    """``max(0.0, *errors)`` by the rule of :func:`_worst_case`."""
+    return _worst_case([(error, error, 0.0) for error in errors])[0]
+
+
+def _error_row(errors: Iterable[float], tolerance: float, rules: str = "exact arithmetic") -> CheckData:
+    """The row of a check whose cases are bare errors: the worst against 0."""
+    worst = _worst_error(errors)
+    return CheckData(worst, 0.0, worst, tolerance, rules=rules)
 
 
 def _raised(exc: Exception, label: str | None = None) -> CheckData:
@@ -325,31 +337,30 @@ def _raised(exc: Exception, label: str | None = None) -> CheckData:
 def _component_deviation(a: hb.HeisenbergElement, b: hb.HeisenbergElement) -> float:
     """Largest coordinate gap; the homogeneous norm's fourth root would
     inflate a ~1e-16 rounding error in t to ~1e-8."""
-    return max(float(np.max(np.abs(a.z - b.z))), abs(a.t - b.t))
+    return _worst_error((float(np.max(np.abs(a.z - b.z))), abs(a.t - b.t)))
 
 
 def _check_group_associativity(cfg: SuiteConfig, rng) -> CheckData:
-    worst = 0.0
+    errors = []
     for _ in range(min(cfg.pairs, 200)):
         a, b, c = (_rand_heisenberg(rng, cfg.n) for _ in range(3))
         left = hb.mul(hb.mul(a, b), c)
         right = hb.mul(a, hb.mul(b, c))
-        worst = max(worst, _component_deviation(left, right))
-    return CheckData(worst, 0.0, worst, 1e-13)
+        errors.append(_component_deviation(left, right))
+    return _error_row(errors, 1e-13)
 
 
 def _check_group_identity_inverse(cfg: SuiteConfig, rng) -> CheckData:
     unit = hb.identity(cfg.n)
-    worst = 0.0
+    errors = []
     for _ in range(min(cfg.pairs, 200)):
         a = _rand_heisenberg(rng, cfg.n)
-        worst = max(
-            worst,
+        errors += [
             _component_deviation(hb.mul(a, unit), a),
             _component_deviation(hb.mul(unit, a), a),
             _component_deviation(hb.mul(a, hb.inv(a)), unit),
-        )
-    return CheckData(worst, 0.0, worst, 1e-13)
+        ]
+    return _error_row(errors, 1e-13)
 
 
 def _check_group_dilation(cfg: SuiteConfig, rng, gauge: Callable, arity: int) -> CheckData:
@@ -416,11 +427,12 @@ def _check_fock_kernel_truncation(cfg: SuiteConfig, rng) -> CheckData:
 
 
 def _check_fock_truncation_budget(cfg: SuiteConfig, rng) -> CheckData:
-    worst = 0.0
+    ratios = []
     for lam, radius, tol in ((-2.0, 0.8, 1e-8), (1.5, 1.2, 1e-10)):
         degree = fk.suggested_truncation(lam, radius, tol)
         x = 0.5 * abs(lam) * radius * radius
-        worst = max(worst, fk.kernel_tail_bound(degree, x) / tol)
+        ratios.append(fk.kernel_tail_bound(degree, x) / tol)
+    worst = _worst_error(ratios)
     return CheckData(worst, 1.0, worst, 1.0, rules="series truncation bound", metric="bound-ratio")
 
 
@@ -444,7 +456,7 @@ def _homomorphism_degree(lam, a, b, tol) -> int:
 
 def _check_bargmann_homomorphism(cfg: SuiteConfig, rng) -> CheckData:
     lam, tolerance = -2.0, 1e-8
-    worst, degrees = 0.0, []
+    errors, degrees = [], []
     for _ in range(3):
         a = _rand_heisenberg(rng, cfg.n, z_scale=0.1)
         b = _rand_heisenberg(rng, cfg.n, z_scale=0.1)
@@ -454,17 +466,14 @@ def _check_bargmann_homomorphism(cfg: SuiteConfig, rng) -> CheckData:
         product = bg.rep_matrix(lam, a, trunc).entries @ bg.rep_matrix(lam, b, trunc).entries
         direct = bg.rep_matrix(lam, hb.mul(a, b), trunc).entries
         grid = np.ix_(block, block)
-        worst = max(worst, float(np.max(np.abs(product[grid] - direct[grid]))))
-    return CheckData(
-        worst, 0.0, worst, tolerance,
-        rules=f"matrix block degree<=4 of degrees {', '.join(map(str, degrees))}",
-    )
+        errors.append(float(np.max(np.abs(product[grid] - direct[grid]))))
+    return _error_row(errors, tolerance, f"matrix block degree<=4 of degrees {', '.join(map(str, degrees))}")
 
 
 def _check_bargmann_unitarity(cfg: SuiteConfig, rng) -> CheckData:
     lam, degree = -2.0, 10
     trunc = fk.FockTruncation(n=cfg.n, max_degree=degree)
-    worst = 0.0
+    errors = []
     for _ in range(2):
         a = _rand_heisenberg(rng, cfg.n)
         matrix = bg.rep_matrix(lam, a, trunc)
@@ -473,17 +482,15 @@ def _check_bargmann_unitarity(cfg: SuiteConfig, rng) -> CheckData:
             if beta.degree <= 4:
                 deficit = 1.0 - float(norms_sq[j])
                 bound = bg.column_defect_bound(lam, a, trunc, beta.degree)
-                worst = max(worst, deficit - bound, float(norms_sq[j]) - 1.0)
-    return CheckData(worst, 0.0, worst, 1e-9, rules=f"columns of degree<=4 of {degree}")
+                errors += [deficit - bound, float(norms_sq[j]) - 1.0]
+    return _error_row(errors, 1e-9, f"columns of degree<=4 of {degree}")
 
 
 def _check_bargmann_derivative_fields(cfg: SuiteConfig, rng) -> CheckData:
     lam = -2.0
     trunc = fk.FockTruncation(n=cfg.n, max_degree=6)
-    worst = max(
-        bg.dsigma_check(lam, path, trunc) for path in ("T", "Z", "Zbar_right")
-    )
-    return CheckData(worst, 0.0, worst, 1e-6, rules="central differences, extrapolated")
+    errors = [bg.dsigma_check(lam, path, trunc) for path in ("T", "Z", "Zbar_right")]
+    return _error_row(errors, 1e-6, "central differences, extrapolated")
 
 
 def _check_bargmann_projection_tail(cfg: SuiteConfig, rng) -> CheckData:
@@ -538,11 +545,8 @@ def _check_pw_cr_residuals(cfg: SuiteConfig, rng) -> CheckData:
     log_fn = sp.ProfileFunction(
         sp.DirichletKernelProfile(cfg.n, 2, _rand_interior(rng, cfg.n, spread=0.3))
     )
-    worst = max(
-        sp.holomorphy_residuals(kernel_fn, where),
-        sp.holomorphy_residuals(log_fn, where),
-    )
-    return CheckData(worst, 0.0, worst, 1e-6, rules="central differences, step 1e-4")
+    errors = [sp.holomorphy_residuals(fn, where) for fn in (kernel_fn, log_fn)]
+    return _error_row(errors, 1e-6, "central differences, step 1e-4")
 
 
 # ---------------------------------------------------------------------------
@@ -557,32 +561,30 @@ def _check_kernels_mobius(cfg: SuiteConfig, rng) -> CheckData:
         Unitary(np.diag(np.exp(1j * np.linspace(0.7, 1.3, cfg.n)))),
         Inversion(),
     ]
-    worst = 0.0
+    errors = []
     m = cfg.n + 1
     for index in range(cfg.pairs):
         zeta, omega = _rand_interior(rng, cfg.n), _rand_interior(rng, cfg.n)
         phi = generators[index % len(generators)]
-        worst = max(worst, kr.mobius_invariance_check(phi, zeta, omega, m=m))
-    return CheckData(worst, 0.0, worst, 1e-11, rules=f"{cfg.pairs} random pairs")
+        errors.append(kr.mobius_invariance_check(phi, zeta, omega, m=m))
+    return _error_row(errors, 1e-11, f"{cfg.pairs} random pairs")
 
 
 def _check_kernels_cayley(cfg: SuiteConfig, rng) -> CheckData:
-    worst = 0.0
+    errors = []
     for _ in range(cfg.pairs):
         first, second = _rand_ball(rng, cfg.n), _rand_ball(rng, cfg.n)
-        worst = max(worst, kr.cayley_transfer_check(first, second, m=cfg.n + 1))
-    return CheckData(worst, 0.0, worst, 1e-10, rules=f"{cfg.pairs} random pairs")
+        errors.append(kr.cayley_transfer_check(first, second, m=cfg.n + 1))
+    return _error_row(errors, 1e-10, f"{cfg.pairs} random pairs")
 
 
 def _check_kernels_gram_psd(cfg: SuiteConfig, rng) -> CheckData:
     points = [_rand_interior(rng, cfg.n) for _ in range(8)]
-    worst = 0.0
-    for kid in _kernel_ids(cfg):
-        gram = kr.gram_matrix(kid, points)
-        eigenvalues = np.linalg.eigvalsh(gram)
-        trace = float(np.trace(gram).real)
-        worst = max(worst, max(0.0, -float(eigenvalues.min())) / trace)
-    return CheckData(worst, 0.0, worst, 1e-10, rules="8-point Gram spectra")
+    grams = [kr.gram_matrix(kid, points) for kid in _kernel_ids(cfg)]
+    # The most negative eigenvalue over the trace; the row's floor at 0 keeps
+    # a positive spectrum at error 0.
+    errors = [-float(np.linalg.eigvalsh(gram).min()) / float(np.trace(gram).real) for gram in grams]
+    return _error_row(errors, 1e-10, "8-point Gram spectra")
 
 
 def _check_kernels_qpower_nested(cfg: SuiteConfig, rng) -> CheckData:
@@ -654,20 +656,23 @@ def _check_da_documented_value(cfg: SuiteConfig, rng) -> CheckData:
     f = da.parse_ball_polynomial("z1*z2", dim=cfg.n + 1)
     coeff = da.da_norm_coeff_sq(f)
     integral = da.da_norm_integral_sq(f)
-    worst = max(abs(coeff - 0.5) / 0.5, abs(integral - coeff) / coeff)
+    worst = _worst_error((abs(coeff - 0.5) / 0.5, abs(integral - coeff) / coeff))
     return CheckData(coeff, 0.5, worst, 1e-12, rules="sphere moments + radial Gauss")
+
+
+def _da_identity_error(f: da.BallPolynomial) -> float:
+    """Relative gap of the integral norm of ``f`` to its coefficient norm."""
+    coeff = da.da_norm_coeff_sq(f)
+    return abs(da.da_norm_integral_sq(f) - coeff) / coeff
 
 
 def _check_da_monomial_identity(cfg: SuiteConfig, rng) -> CheckData:
     dim = cfg.n + 1
-    worst = 0.0
+    errors = []
     for alpha in itertools.product(range(9), repeat=dim):
-        if not 0 < sum(alpha) <= 8:
-            continue
-        f = da.BallPolynomial.monomial(alpha)
-        coeff = da.da_norm_coeff_sq(f)
-        worst = max(worst, abs(da.da_norm_integral_sq(f) - coeff) / coeff)
-    return CheckData(worst, 0.0, worst, 1e-8, rules="sphere moments + radial Gauss")
+        if 0 < sum(alpha) <= 8:
+            errors.append(_da_identity_error(da.BallPolynomial.monomial(alpha)))
+    return _error_row(errors, 1e-8, "sphere moments + radial Gauss")
 
 
 def _check_da_random_identity(cfg: SuiteConfig, rng) -> CheckData:
@@ -676,7 +681,7 @@ def _check_da_random_identity(cfg: SuiteConfig, rng) -> CheckData:
         alpha for alpha in itertools.product(range(9), repeat=dim) if sum(alpha) <= 8
     ]
     count = min(cfg.pairs, 50) if cfg.fast else max(cfg.pairs, 50)
-    worst = 0.0
+    errors = []
     for _ in range(count):
         chosen = rng.choice(len(indices), size=12, replace=False)
         f = da.BallPolynomial(
@@ -686,22 +691,18 @@ def _check_da_random_identity(cfg: SuiteConfig, rng) -> CheckData:
                 for i in chosen
             },
         )
-        coeff = da.da_norm_coeff_sq(f)
-        worst = max(worst, abs(da.da_norm_integral_sq(f) - coeff) / coeff)
-    return CheckData(worst, 0.0, worst, 1e-8, rules=f"{count} random degree<=8 polynomials")
+        errors.append(_da_identity_error(f))
+    return _error_row(errors, 1e-8, f"{count} random degree<=8 polynomials")
 
 
 def _check_da_ladder_closed_form(cfg: SuiteConfig, rng) -> CheckData:
-    worst = 0.0
-    for k in (1, 2, 3):
-        for degree in range(9):
-            alpha = (degree,) + (0,) * cfg.n
-            out = da.script_r(k, da.BallPolynomial.monomial(alpha))
-            expected = math.comb(k + degree, k)
-            worst = max(
-                worst, abs(out.coefficients[alpha] - expected) / expected
-            )
-    return CheckData(worst, 0.0, worst, 1e-13, rules="step recursion vs binomial")
+    errors = []
+    for k, degree in itertools.product((1, 2, 3), range(9)):
+        alpha = (degree,) + (0,) * cfg.n
+        out = da.script_r(k, da.BallPolynomial.monomial(alpha))
+        expected = math.comb(k + degree, k)
+        errors.append(abs(out.coefficients[alpha] - expected) / expected)
+    return _error_row(errors, 1e-13, "step recursion vs binomial")
 
 
 def _check_da_sphere_mc(cfg: SuiteConfig, rng) -> CheckData:
@@ -725,7 +726,7 @@ def _check_da_dot_dirichlet(cfg: SuiteConfig, rng) -> CheckData:
     dim = cfg.n + 1
     constant = da.BallPolynomial.constant(dim, 3.0 - 1.0j)
     paired = da.dot_dirichlet_norm_coeff_sq(da.parse_ball_polynomial("z1*z2", dim=dim))
-    worst = max(da.dot_dirichlet_norm_coeff_sq(constant), abs(paired - 1.0))
+    worst = _worst_error((da.dot_dirichlet_norm_coeff_sq(constant), abs(paired - 1.0)))
     return CheckData(paired, 1.0, worst, 1e-13, rules="coefficient weights")
 
 
@@ -794,7 +795,7 @@ class IdentityRow:
             ]
         except Exception as exc:
             return _raised(exc, label)
-        error, lhs, rhs = max(found, key=lambda case: (math.isnan(case[0]), case[0]))
+        error, lhs, rhs = _worst_case(found)
         rules_text = "; ".join(text for text in (label, self.note) if text)
         return CheckData(lhs, rhs, error, self.tolerance, self.fast_tolerance, rules_text)
 

@@ -216,15 +216,6 @@ def move_parts(phi, z_components, t):
     raise InvalidParameterError(f"{type(phi).__name__} does not act on chart arrays")
 
 
-def psi(p: SiegelPoint) -> HorocyclicCoordinates:
-    """Chart map of the closed half-space: (z, t, h) = (zeta_prime, Re zeta_last, rho)."""
-    if p.h < -BOUNDARY_BAND:
-        raise InvalidParameterError(
-            f"point lies outside the closed half-space (height {p.h})"
-        )
-    return HorocyclicCoordinates(z=p.z, t=p.t, h=p.h)
-
-
 def psi_inv(c: HorocyclicCoordinates) -> SiegelPoint:
     """Inverse chart map: (z, t, h) -> (z, t + i(|z|^2/4 + h))."""
     return SiegelPoint(c.z, c.t, c.h)

@@ -350,13 +350,6 @@ class KernelProfile:
     def trace_mu_power(self) -> float:
         return self.nu + 1.0
 
-    def trace_values(self, mu, z_components, t) -> np.ndarray:
-        """Trace of the field at frequency ``-mu`` against the adjoint of the
-        translated representation operator at chart position ``(z, t)``:
-        ``e^(-mu * 2q((z, t, 0), base))`` times the radial factor."""
-        two_q = _pairing_form(z_components, t, 0.0, self.base)
-        return self.normalization * mu ** (self.nu + 1.0) * np.exp(-mu * two_q)
-
     def coefficient_values(self, truncation: _fock.FockTruncation, mu) -> np.ndarray:
         """Vector part on the enumerated basis, shaped ``(dim,) + shape(mu)``."""
         mu = np.asarray(mu, dtype=float)
@@ -412,11 +405,6 @@ class DirichletKernelProfile:
     @property
     def trace_mu_power(self) -> float:
         return -self.n - 1.0
-
-    def trace_values(self, mu, z_components, t) -> np.ndarray:
-        base_part = np.exp(-mu * _pairing_form(z_components, t, 0.0, self.base))
-        center_part = np.exp(-mu * _pairing_form(z_components, t, 0.0, base_point(self.n)))
-        return self.normalization * mu ** (-self.n - 1.0) * (base_part - center_part)
 
     def coefficient_values(self, truncation: _fock.FockTruncation, mu) -> np.ndarray:
         mu = np.asarray(mu, dtype=float)
@@ -489,16 +477,6 @@ class FiniteProfile:
             return 0.0
         return min(term.power + 0.5 * term.alpha.degree for term in self.terms)
 
-    def trace_values(self, mu, z_components, t) -> np.ndarray:
-        common = np.exp(-mu * _pairing_form(z_components, t, 0.0, _axis_point(self.n, 0.0)))
-        total = 0.0
-        for term in self.terms:
-            amp = np.conj(term.coefficient) * _slot_amplitude(term.alpha)
-            total = total + amp * mu ** (term.power + 0.5 * term.alpha.degree) * np.exp(
-                -term.decay * mu
-            ) * _monomial(z_components, term.alpha)
-        return total * common
-
     def coefficient_values(self, truncation: _fock.FockTruncation, mu) -> np.ndarray:
         mu = np.asarray(mu, dtype=float)
         out = np.zeros((truncation.dim,) + mu.shape, dtype=np.complex128)
@@ -554,9 +532,6 @@ class DerivedProfile:
     @property
     def trace_mu_power(self) -> float:
         return self.base.trace_mu_power + self.order
-
-    def trace_values(self, mu, z_components, t) -> np.ndarray:
-        return self._sign * mu**self.order * self.base.trace_values(mu, z_components, t)
 
     def coefficient_values(self, truncation: _fock.FockTruncation, mu) -> np.ndarray:
         mu = np.asarray(mu, dtype=float)
@@ -970,7 +945,8 @@ def holomorphy_residuals(
     Checks that the height derivative matches ``i`` times the transverse
     derivative and that each antiholomorphic derivative in the tangential
     slots equals ``i z_j / 4`` times the transverse derivative, using
-    Richardson-refined central differences; returns the maximum magnitude.
+    Richardson-refined central differences; returns the largest magnitude,
+    NaN if any residual is NaN.
     """
     coords = _interior(point, "the residual")
     if step <= 0.0 or step >= coords.h / 4.0:
@@ -1000,7 +976,7 @@ def holomorphy_residuals(
         d_y = derivative(lambda s, u=unit: (1j * s * u, 0.0, 0.0))
         d_zbar = 0.5 * (d_x + 1j * d_y)
         residuals.append(abs(d_zbar - 0.25j * coords.z[j] * d_t))
-    return max(residuals)
+    return residuals[int(np.argmax(residuals))]
 
 
 # --------------------------------------------------------------------------

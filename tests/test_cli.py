@@ -14,12 +14,16 @@ import itertools
 import json
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import siegelpw.bargmann as bg
 import siegelpw.cli as cli
+import siegelpw.drury_arveson as da
 import siegelpw.fock as fk
+import siegelpw.heisenberg as hb
 import siegelpw.kernels as kr
 import siegelpw.spectral as sp
 from siegelpw.siegel import chart_from_json, point_to_json, psi_inv
@@ -213,6 +217,30 @@ class TestProjectionTail:
         assert data.rel_error <= data.tolerance == 1.0
 
 
+def nan_element(a, b):
+    """A group product whose coordinates are NaN."""
+    return SimpleNamespace(z=a.z * math.nan, t=math.nan)
+
+
+#: One row per suite whose error is a reduction, with the dependencies that
+#: make its cases NaN.  A reduction by ``max`` would pass each with error 0,
+#: since ``max(0.0, nan)`` is 0.0.  ``pw-cr-residuals`` gets a NaN for its
+#: second field only, the case ``max`` drops.
+NAN_CASES = {
+    "group-associativity": [(hb, "mul", nan_element)],
+    "group-identity-inverse": [(hb, "mul", nan_element)],
+    "fock-truncation-budget": [(fk, "suggested_truncation", lambda lam, radius, tol: 10),
+                               (fk, "kernel_tail_bound", lambda degree, x: math.nan)],
+    "bargmann-unitarity": [(bg, "column_defect_bound", lambda *args: math.nan)],
+    "pw-cr-residuals": [(sp, "holomorphy_residuals",
+                         lambda F, where: math.nan if isinstance(F.profile, sp.DirichletKernelProfile) else 0.0)],
+    "kernels-cayley-transfer": [(kr, "cayley_transfer_check", lambda *args, **kwargs: math.nan)],
+    "dirichlet-mobius-invariance": [(kr, "mobius_invariance_check", lambda *args, **kwargs: math.nan)],
+    "da-documented-value": [(da, "da_norm_integral_sq", lambda f: math.nan)],
+    "da-monomial-identity": [(da, "da_norm_integral_sq", lambda f: math.nan)],
+}
+
+
 class TestEvidenceRows:
     """A check that loops over cases reports the case that sets its error, so
     the row's lhs and rhs reproduce its rel_error."""
@@ -243,6 +271,19 @@ class TestEvidenceRows:
         assert math.isnan(error) and (lhs, rhs) == (7.0, 8.0)
         error, lhs, rhs = cli._worst_case([(math.nan, 1.0, 2.0)])
         assert math.isnan(error) and (lhs, rhs) == (1.0, 2.0)
+
+    def test_worst_error_floors_at_zero_and_ranks_nan(self):
+        assert cli._worst_error([-1.0, -2.0]) == 0.0
+        assert cli._worst_error([0.5, 2.0, 1.0]) == 2.0
+        assert math.isnan(cli._worst_error([0.5, math.nan, 2.0]))
+
+    @pytest.mark.parametrize("check_id", list(NAN_CASES))
+    def test_a_nan_case_fails_the_row(self, monkeypatch, check_id):
+        for module, name, fake in NAN_CASES[check_id]:
+            monkeypatch.setattr(module, name, fake)
+        spec = next(spec for spec in cli._specs_for("all") if spec.check_id == check_id)
+        result = cli._run_check(spec, cli.SuiteConfig(seed=1, pairs=4, fast=True))
+        assert math.isnan(result.rel_error) and result.passed is False
 
 
 class TestAnchorFrameRows:

@@ -37,7 +37,6 @@ from siegelpw.siegel import (
     Unitary,
     apply,
     base_point,
-    psi,
     psi_inv,
 )
 
@@ -119,6 +118,29 @@ def finite_value(profile, at):
     return total
 
 
+def trace_values(profile, mu, z_components, t):
+    """Trace of a field at frequency ``-mu`` against the adjoint of the
+    translated representation operator at chart position ``(z, t)``: for a
+    kernel field ``e^(-mu * 2q((z, t, 0), base))`` times the radial factor.
+    The point-by-point reference of the closed forms."""
+    if isinstance(profile, sp.DerivedProfile):
+        return profile._sign * mu**profile.order * trace_values(profile.base, mu, z_components, t)
+    if isinstance(profile, sp.KernelProfile):
+        two_q = sp._pairing_form(z_components, t, 0.0, profile.base)
+        return profile.normalization * mu ** (profile.nu + 1.0) * np.exp(-mu * two_q)
+    if isinstance(profile, sp.DirichletKernelProfile):
+        base_part = np.exp(-mu * sp._pairing_form(z_components, t, 0.0, profile.base))
+        center_part = np.exp(-mu * sp._pairing_form(z_components, t, 0.0, base_point(profile.n)))
+        return profile.normalization * mu ** (-profile.n - 1.0) * (base_part - center_part)
+    common = np.exp(-mu * sp._pairing_form(z_components, t, 0.0, sp._axis_point(profile.n, 0.0)))
+    total = 0.0
+    for term in profile.terms:
+        amp = np.conj(term.coefficient) * sp._slot_amplitude(term.alpha)
+        radial = mu ** (term.power + 0.5 * term.alpha.degree) * np.exp(-term.decay * mu)
+        total = total + amp * radial * sp._monomial(z_components, term.alpha)
+    return total * common
+
+
 def quadrature_chart_values(profile, z_components, t, h, node_count):
     """Chart values of a synthesized field by Gauss–Laguerre quadrature of its
     frequency integral, point by point in frequency: the reference the
@@ -137,9 +159,9 @@ def quadrature_chart_values(profile, z_components, t, h, node_count):
     total = 0.0
     for w, mu in zip(rule.plain_weights(), rule.nodes):
         mu = float(mu)
-        term = mu**n * np.exp(-h * mu) * profile.trace_values(mu, z_components, t)
+        term = mu**n * np.exp(-h * mu) * trace_values(profile, mu, z_components, t)
         if subtracted:
-            term = term - mu**n * math.exp(-mu) * complex(profile.trace_values(mu, [0.0j] * n, 0.0))
+            term = term - mu**n * math.exp(-mu) * complex(trace_values(profile, mu, [0.0j] * n, 0.0))
         total = total + w * term
     return total / TWO_PI ** (n + 1)
 
@@ -347,7 +369,7 @@ class TestCoefficientRows:
             rows = profile.coefficient_values(trunc, np.asarray(mu))
             row = np.conj(bg.p0_row(-mu, element, trunc).coeffs)
             paired = complex(np.sum(np.conj(rows[:, ...].reshape(trunc.dim)) * row))
-            direct = complex(profile.trace_values(mu, list(z), t))
+            direct = complex(trace_values(profile, mu, list(z), t))
             assert abs(paired - direct) <= 1e-10 * max(abs(direct), 1e-6)
 
     def test_finite_rows_reject_overflowing_degree(self):
@@ -360,7 +382,7 @@ class TestSynthesis:
     @pytest.mark.parametrize("nu, m", [(0.0, 0), (-1.5, 1), (-1.0, 0)])
     def test_kernel_synthesis_matches_closed_value(self, nu, m):
         profile = sp.KernelProfile(1, nu, GENERIC_BASE_1, m)
-        base = psi(GENERIC_BASE_1)
+        base = GENERIC_BASE_1
         for target in (
             chart([0.5 - 0.2j], 0.7, 0.5),
             chart([-0.1 + 0.4j], -1.3, 2.2),
@@ -374,7 +396,7 @@ class TestSynthesis:
         profile = sp.KernelProfile(2, 0.0, GENERIC_BASE_2)
         target = chart([0.1 + 0.1j, 0.2], -0.4, 0.9)
         value = sp.synthesize(profile, target)
-        expected = kernel_value(2, 0.0, 0, target, psi(GENERIC_BASE_2))
+        expected = kernel_value(2, 0.0, 0, target, GENERIC_BASE_2)
         assert abs(value - expected) < 1e-7 * abs(expected)
 
     def test_point_and_chart_arguments_agree(self):
@@ -412,7 +434,7 @@ class TestSynthesis:
     def test_derived_synthesis_matches_analytic_height_derivatives(self):
         nu = 0.0
         profile = sp.KernelProfile(1, nu, GENERIC_BASE_1)
-        base = psi(GENERIC_BASE_1)
+        base = GENERIC_BASE_1
         target = chart([0.2 + 0.3j], -0.6, 0.9)
         s = 1.0 + 2.0 + nu
         two_q = pairing2(target, base)
@@ -498,7 +520,7 @@ class TestPairings:
         g = sp.KernelProfile(1, nu, second, m)
         constant = paley_wiener_constant(1, m, nu).value
         value = constant * sp.l2nu_inner_product(f, g, nu)
-        expected = kernel_value(1, nu, m, psi(second), psi(first))
+        expected = kernel_value(1, nu, m, second, first)
         assert abs(value - expected) < 1e-9 * abs(expected)
         forward = sp.l2nu_inner_product(f, g, nu)
         backward = sp.l2nu_inner_product(g, f, nu)
@@ -528,7 +550,7 @@ class TestPairings:
         # adaptive quadrature beyond, with expm1 in the four-term bracket.
         profile = sp.DirichletKernelProfile(1, 2, point([0.3], 0.5, 1.2))
         center = chart([0.0], 0.0, 1.0)
-        base = psi(profile.base)
+        base = profile.base
         rates = [(1.0, pairing2(base, base)), (-1.0, pairing2(base, center)),
                  (-1.0, pairing2(center, base)), (1.0, pairing2(center, center))]
         # The weight power n - nu - 1, less the 2n + 2 of the two fields,
@@ -562,10 +584,10 @@ class TestPairings:
         g = sp.DirichletKernelProfile(n, m, second)
         constant = paley_wiener_constant(n, m, -(n + 2.0)).value
         value = constant * sp.l2nu_inner_product(f, g, -(n + 2.0))
-        expected = dotted_log_value(n, m, psi(second), psi(first))
+        expected = dotted_log_value(n, m, second, first)
         assert abs(value - expected) < 1e-8 * abs(expected)
         diagonal = constant * sp.l2nu_inner_product(f, f, -(n + 2.0))
-        self_value = dotted_log_value(n, m, psi(first), psi(first))
+        self_value = dotted_log_value(n, m, first, first)
         assert abs(diagonal - self_value) < 1e-8 * abs(self_value)
 
     def test_log_pair_weight_shift_is_exact(self):
@@ -636,7 +658,7 @@ class TestCenterSubtractedSynthesis:
             chart([-0.4], 1.1, 1.8),
         ):
             value = sp.synthesize_dirichlet(profile, target)
-            expected = dotted_log_value(1, m, target, psi(base))
+            expected = dotted_log_value(1, m, target, base)
             assert abs(value - expected) < 1e-8 * abs(expected)
 
     def test_values_match_in_dimension_two(self):
@@ -644,7 +666,7 @@ class TestCenterSubtractedSynthesis:
         profile = sp.DirichletKernelProfile(2, 2, base)
         target = chart([0.1 - 0.1j, 0.25], -0.4, 0.8)
         value = sp.synthesize_dirichlet(profile, target)
-        expected = dotted_log_value(2, 2, target, psi(base))
+        expected = dotted_log_value(2, 2, target, base)
         assert abs(value - expected) < 1e-7 * abs(expected)
 
     def test_affine_constant_is_added(self):
@@ -693,10 +715,11 @@ def bracket_reference(power, rates, vanish):
 def log_pair_reference(f_base, g_base, nu, f_order=0, g_order=0):
     """The spectral pairing of two order-2 logarithmic fields at n = 1 (after
     the given frequency powers) from test-side rates and amplitudes."""
-    fb, gb = psi(f_base), psi(g_base)
-    rates = [pairing2(gb, fb), pairing2(gb, CENTER_1), pairing2(CENTER_1, fb), pairing2(CENTER_1, CENTER_1)]
+    rates = [
+        pairing2(g_base, f_base), pairing2(g_base, CENTER_1), pairing2(CENTER_1, f_base), pairing2(CENTER_1, CENTER_1)
+    ]
     extra = f_order + g_order
-    vanish = 2 if complex(fb.z[0] * np.conj(gb.z[0])) == 0.0 else 1
+    vanish = 2 if complex(f_base.z[0] * np.conj(g_base.z[0])) == 0.0 else 1
     power = (1.0 - nu - 1.0) + extra - 4.0
     amp = (-1.0) ** extra * dotted_log_amplitude(1, 2) ** 2 / TWO_PI**2
     return amp * bracket_reference(power, rates, vanish)
@@ -732,8 +755,9 @@ class TestLogClosedForms:
         base = point([0.3 - 0.2j], 0.4, 1.3)
         target = chart([0.5 + 0.1j], -0.7, 0.6)
         profile = sp.spectral_derivative(sp.DirichletKernelProfile(1, 2, base), order)
-        b = psi(base)
-        rates = [pairing2(target, b), pairing2(target, CENTER_1), pairing2(CENTER_1, b), pairing2(CENTER_1, CENTER_1)]
+        rates = [
+            pairing2(target, base), pairing2(target, CENTER_1), pairing2(CENTER_1, base), pairing2(CENTER_1, CENTER_1)
+        ]
         amp = (-1.0) ** order * dotted_log_amplitude(1, 2) / TWO_PI**2
         expected = amp * bracket_reference(order - 1.0, rates, 1)
         assert abs(sp.synthesize_dirichlet(profile, target) - expected) <= 1e-12 * abs(expected)
@@ -829,7 +853,7 @@ class TestProfileFunction:
         z, t, h = [np.asarray(0.5 + 0.1j)], -0.7, 0.6
         a = complex(closed.chart_values(z, t, h))
         b = complex(quadrature_chart_values(profile, z, t, h, 280))
-        expected = dotted_log_value(1, 2, chart([0.5 + 0.1j], t, h), psi(base))
+        expected = dotted_log_value(1, 2, chart([0.5 + 0.1j], t, h), base)
         assert abs(a - expected) < 1e-12 * abs(expected)
         assert abs(b - expected) < 1e-7 * abs(expected)
 
@@ -872,6 +896,13 @@ class TestProfileFunction:
         detector = sp.PointwiseFunction(1, lambda p: complex(p.zeta_last.real))
         assert sp.holomorphy_residuals(detector, point([0.3], 0.4, 0.9)) > 1e-3
 
+    def test_holomorphy_residuals_rank_nan_as_the_largest(self):
+        # Constant, so holomorphic, while z stays at the point and NaN once
+        # it moves: the height residual is 0 and the tangential one NaN.
+        where = point([0.3 + 0.2j], 0.4, 0.9)
+        jumpy = sp.PointwiseFunction(1, lambda p: 1.0 + 0.0j if p.z[0] == where.z[0] else complex(math.nan))
+        assert math.isnan(sp.holomorphy_residuals(jumpy, where))
+
 
 TINY_RULES = sp.ChartNormRules(
     radial_panels=1,
@@ -889,10 +920,10 @@ TINY_RULES = sp.ChartNormRules(
 
 class TestPointwiseAdapter:
     def test_matches_profile_function_on_a_small_rule(self):
-        base = psi(GENERIC_BASE_1)
+        base = GENERIC_BASE_1
         direct = sp.ProfileFunction(sp.KernelProfile(1, 0.0, GENERIC_BASE_1))
         wrapped = sp.PointwiseFunction(
-            1, lambda p: kernel_value(1, 0.0, 0, psi(p), base)
+            1, lambda p: kernel_value(1, 0.0, 0, p, base)
         )
         a = sp.space_norm_sq(Unanchored(direct), sp.Bergman(0.0), TINY_RULES)
         b = sp.space_norm_sq(wrapped, sp.Bergman(0.0), TINY_RULES)
@@ -900,18 +931,18 @@ class TestPointwiseAdapter:
 
     def test_supplied_height_derivative_is_used(self):
         nu, m = -1.5, 1
-        base = psi(GENERIC_BASE_1)
+        base = GENERIC_BASE_1
         s = 1.0 + 2.0 + nu
         c = kernel_amplitude(1, nu, m)
 
         def derivative(p):
-            return -c * math.gamma(s + 1.0) / TWO_PI**2 * pairing2(psi(p), base) ** -(
+            return -c * math.gamma(s + 1.0) / TWO_PI**2 * pairing2(p, base) ** -(
                 s + 1.0
             )
 
         wrapped = sp.PointwiseFunction(
             1,
-            lambda p: kernel_value(1, nu, m, psi(p), base),
+            lambda p: kernel_value(1, nu, m, p, base),
             height_derivatives={1: derivative},
         )
         direct = sp.ProfileFunction(sp.KernelProfile(1, nu, GENERIC_BASE_1, m))
@@ -1509,7 +1540,7 @@ class TestScalingAndGrowth:
         # values, uniformly as the height shrinks.
         nu = 0.0
         profile = sp.KernelProfile(1, nu, GENERIC_BASE_1)
-        base = psi(GENERIC_BASE_1)
+        base = GENERIC_BASE_1
         for k in range(7):
             target = chart([0.3 - 0.2j], 1.7, 0.4 * 2.0**-k)
             value = abs(sp.synthesize(profile, target))
