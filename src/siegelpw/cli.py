@@ -300,20 +300,26 @@ def _rel(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / scale
 
 
-def _worst_case(cases: Sequence[tuple[float, complex, complex]]) -> tuple[float, complex, complex]:
-    """The ``(error, lhs, rhs)`` case that sets ``max(0.0, *errors)``, a NaN
-    error counting as the worst; ties keep the earlier case.  It is the one
-    reduction of every verify row (bare errors go through :func:`_worst_error`)."""
-    worst = (0.0, cases[0][1], cases[0][2])
-    for case in cases:
-        if case[0] > worst[0] or (math.isnan(case[0]) and not math.isnan(worst[0])):
-            worst = case
+def _worst_error(errors: Iterable[float]) -> float:
+    """``max(0.0, *errors)`` with a NaN error counting as the worst (the first
+    NaN wins): the one comparison behind every verify row's error."""
+    worst = 0.0
+    for error in errors:
+        if error > worst or (math.isnan(error) and not math.isnan(worst)):
+            worst = error
     return worst
 
 
-def _worst_error(errors: Iterable[float]) -> float:
-    """``max(0.0, *errors)`` by the rule of :func:`_worst_case`."""
-    return _worst_case([(error, error, 0.0) for error in errors])[0]
+def _worst_case(cases: Sequence[tuple[float, complex, complex]]) -> tuple[float, complex, complex]:
+    """The one reduction of every verify row (bare errors go through
+    :func:`_error_row`): the ``(error, lhs, rhs)`` case whose error
+    :func:`_worst_error` picks, the earlier of ties; an error floored at 0
+    shows the first case's sides."""
+    worst = _worst_error(case[0] for case in cases)
+    for case in cases:
+        if (worst > 0.0 and case[0] == worst) or (math.isnan(worst) and math.isnan(case[0])):
+            return case
+    return (worst, cases[0][1], cases[0][2])
 
 
 def _error_row(errors: Iterable[float], tolerance: float, rules: str = "exact arithmetic") -> CheckData:
@@ -580,10 +586,13 @@ def _check_kernels_cayley(cfg: SuiteConfig, rng) -> CheckData:
 
 def _check_kernels_gram_psd(cfg: SuiteConfig, rng) -> CheckData:
     points = [_rand_interior(rng, cfg.n) for _ in range(8)]
-    grams = [kr.gram_matrix(kid, points) for kid in _kernel_ids(cfg)]
-    # The most negative eigenvalue over the trace; the row's floor at 0 keeps
-    # a positive spectrum at error 0.
-    errors = [-float(np.linalg.eigvalsh(gram).min()) / float(np.trace(gram).real) for gram in grams]
+    errors = []
+    for kid in _kernel_ids(cfg):
+        gram = kr.gram_matrix(kid, points)
+        eigenvalues = np.linalg.eigvalsh(gram)
+        trace = float(np.trace(gram).real)
+        # The row's floor at 0 keeps a positive spectrum at error 0.
+        errors.append(-float(eigenvalues.min()) / trace)
     return _error_row(errors, 1e-10, "8-point Gram spectra")
 
 
@@ -660,18 +669,15 @@ def _check_da_documented_value(cfg: SuiteConfig, rng) -> CheckData:
     return CheckData(coeff, 0.5, worst, 1e-12, rules="sphere moments + radial Gauss")
 
 
-def _da_identity_error(f: da.BallPolynomial) -> float:
-    """Relative gap of the integral norm of ``f`` to its coefficient norm."""
-    coeff = da.da_norm_coeff_sq(f)
-    return abs(da.da_norm_integral_sq(f) - coeff) / coeff
-
-
 def _check_da_monomial_identity(cfg: SuiteConfig, rng) -> CheckData:
     dim = cfg.n + 1
     errors = []
     for alpha in itertools.product(range(9), repeat=dim):
-        if 0 < sum(alpha) <= 8:
-            errors.append(_da_identity_error(da.BallPolynomial.monomial(alpha)))
+        if not 0 < sum(alpha) <= 8:
+            continue
+        f = da.BallPolynomial.monomial(alpha)
+        coeff = da.da_norm_coeff_sq(f)
+        errors.append(abs(da.da_norm_integral_sq(f) - coeff) / coeff)
     return _error_row(errors, 1e-8, "sphere moments + radial Gauss")
 
 
@@ -691,17 +697,19 @@ def _check_da_random_identity(cfg: SuiteConfig, rng) -> CheckData:
                 for i in chosen
             },
         )
-        errors.append(_da_identity_error(f))
+        coeff = da.da_norm_coeff_sq(f)
+        errors.append(abs(da.da_norm_integral_sq(f) - coeff) / coeff)
     return _error_row(errors, 1e-8, f"{count} random degree<=8 polynomials")
 
 
 def _check_da_ladder_closed_form(cfg: SuiteConfig, rng) -> CheckData:
     errors = []
-    for k, degree in itertools.product((1, 2, 3), range(9)):
-        alpha = (degree,) + (0,) * cfg.n
-        out = da.script_r(k, da.BallPolynomial.monomial(alpha))
-        expected = math.comb(k + degree, k)
-        errors.append(abs(out.coefficients[alpha] - expected) / expected)
+    for k in (1, 2, 3):
+        for degree in range(9):
+            alpha = (degree,) + (0,) * cfg.n
+            out = da.script_r(k, da.BallPolynomial.monomial(alpha))
+            expected = math.comb(k + degree, k)
+            errors.append(abs(out.coefficients[alpha] - expected) / expected)
     return _error_row(errors, 1e-13, "step recursion vs binomial")
 
 

@@ -265,6 +265,7 @@ class TestEvidenceRows:
         cases = [(0.1, 1.0, 2.0), (0.3, 3.0, 4.0), (0.3, 5.0, 6.0)]
         assert cli._worst_case(cases) == (0.3, 3.0, 4.0)
         assert cli._worst_case([(0.0, 1.0, 2.0), (0.0, 3.0, 4.0)]) == (0.0, 1.0, 2.0)
+        assert cli._worst_case([(-1.0, 1.0, 2.0), (0.0, 3.0, 4.0)]) == (0.0, 1.0, 2.0)
         # A NaN error is the worst, wherever it stands; the first NaN wins.
         cases += [(math.nan, 7.0, 8.0), (0.5, 9.0, 10.0), (math.nan, 11.0, 12.0)]
         error, lhs, rhs = cli._worst_case(cases)

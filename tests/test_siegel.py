@@ -217,7 +217,7 @@ class TestApply:
         )
         assert float(np.max(np.abs(moved.z - expected.z), initial=0.0)) <= 1e-13 * scale
         assert abs(moved.t - expected.t) <= 1e-12 * scale
-        assert abs(moved.h) <= 1e-12 * scale
+        assert -sg.BOUNDARY_BAND <= moved.h <= 1e-12 * scale
 
     @given(
         p=interior_points(1), delta=st.floats(min_value=0.1, max_value=10.0)
