@@ -640,17 +640,13 @@ def _check_kernels_qpower_divergence(cfg: SuiteConfig, rng) -> CheckData:
 def _check_dirichlet_difference_report(cfg: SuiteConfig, rng) -> CheckData:
     """Report-only: the growth envelope's constant is not pinned down, so the
     empirical ratio is published without asserting a bound."""
-    m = cfg.n + 1
-    if cfg.n == 1:
-        zeta = _rand_interior(rng, cfg.n, spread=0.5)
-    else:
-        zeta = SiegelPoint(np.zeros(cfg.n, dtype=complex), 0.4, 0.8)
-    report = kr.difference_integral_ratio(zeta, m)
+    report = kr.difference_integral_ratio(_rand_interior(rng, cfg.n, spread=0.5), cfg.n + 1)
+    # A NaN error fails the row even against its infinite tolerance.
     finite = math.isfinite(report.lhs) and report.lhs >= 0.0
     return CheckData(
         report.lhs,
         report.envelope,
-        report.ratio if finite else math.inf,
+        report.ratio if finite else math.nan,
         math.inf,
         rules="report-only: empirical envelope ratio",
     )

@@ -18,7 +18,8 @@ packages the checks the verification suites are built from:
   closed-form kernel) and Gram matrices,
 * the closed-form constant of the weighted pairing-power integral, with
   nested-quadrature and Monte Carlo cross-checks, and the report-only
-  difference-integral growth ratio.
+  difference-integral growth ratio, whose integral is read in closed form
+  from the diagonal of the dotted logarithmic kernel.
 """
 
 from __future__ import annotations
@@ -51,15 +52,7 @@ from .siegel import (
     pairing_parts,
     rho,
 )
-from .quadrature import (
-    BoxRule,
-    angle_axis,
-    integrate_box,
-    monte_carlo,
-    power_ratio_integral,
-    power_tail_axis,
-    tan_axis,
-)
+from .quadrature import monte_carlo, power_ratio_integral
 from . import spectral as sp
 
 __all__ = [
@@ -728,82 +721,35 @@ def q_power_integral_mc(
 
 @dataclass(frozen=True)
 class DifferenceIntegralReport:
-    """Chart-quadrature value of the anchored difference integral, the growth
-    envelope ``(1 + |zeta|^2)^(2m+1) / height(zeta)``, and their ratio.  The
-    ratio is reported, never asserted: boundedness of the ratio over the
-    domain is the open quantitative statement this check only illustrates."""
+    """Value of the anchored difference integral, the growth envelope
+    ``(1 + |zeta|^2)^(2m+1) / height(zeta)``, and their ratio.  The ratio is
+    reported, never asserted: boundedness of the ratio over the domain is the
+    open quantitative statement this check only illustrates.
+
+    The integrand is ``(2^m / (C_{n,m} Gamma(m)))^2`` times the squared
+    order-``m`` height derivative of the dotted logarithmic kernel slice
+    through ``zeta`` (``C_{n,m}`` is the kernel constant).  Against the weight
+    ``height^(2m-n-2)`` that derivative integrates to the slice's squared
+    seminorm, which the reproducing property makes ``Kdot(zeta, zeta)``; so
+    ``lhs`` is read in closed form."""
 
     lhs: float
     envelope: float
     ratio: float
 
 
-def difference_integral_ratio(
-    zeta: SiegelPoint,
-    m: int = 2,
-    *,
-    radial=(3, 10),
-    angle_count: int = 12,
-    time=(3, 10),
-    height=(3, 10),
-) -> DifferenceIntegralReport:
+def difference_integral_ratio(zeta: SiegelPoint, m: int = 2) -> DifferenceIntegralReport:
     """Evaluate ``integral of |q(zeta, w)^(-m) - q(center, w)^(-m)|^2 *
-    height(w)^(2m-n-2) dV(w)`` by chart quadrature and compare it with the
-    growth envelope.
-
-    Implemented for lateral dimension one; higher dimensions reduce to the
-    same axes only when ``zeta`` sits on the symmetry axis (zero lateral
-    part), which is also supported.
-    """
+    height(w)^(2m-n-2) dV(w)`` as ``(2^m / (C_{n,m} Gamma(m)))^2 * Kdot(zeta,
+    zeta)`` and compare it with the growth envelope."""
     if not isinstance(zeta, SiegelPoint):
         raise InvalidParameterError("the difference integral is anchored at a half-space point")
     if classify(zeta) != "interior":
         raise KernelDomainError("the difference integral needs an interior anchor")
     n = zeta.n
     sp.spectral_weight(DirichletLog(m), n)  # the weight needs 2m > n+1
-    z0, t0, h0 = zeta.z, zeta.t, zeta.h
-    center = base_point(n)
-    axis_centered = float(np.sum(np.abs(z0) ** 2)) == 0.0
-    if n > 1 and not axis_centered:
-        raise InvalidParameterError(
-            "off-axis anchors are supported in lateral dimension one only"
-        )
-    r_panels, r_order = radial
-    t_panels, t_order = time
-    k_panels, k_order = height
-    time_spread = 2.0 + abs(t0) + float(np.sum(np.abs(z0) ** 2))
-    r_axis = power_tail_axis(
-        2.0 * n - 1.0, split=2.0 * (1.0 + math.sqrt(h0)), panels=r_panels, order=r_order
-    )
-    t_axis = tan_axis(time_spread, panels=t_panels, order=t_order)
-    k_axis = power_tail_axis(
-        2.0 * m - n - 2.0, split=max(h0, 1.0), panels=k_panels, order=k_order
-    )
-
-    def difference_sq(z_parts, s, k):
-        q_zeta = 0.5 * np.conj(sp._pairing_form(z_parts, s, k, zeta))
-        q_center = 0.5 * np.conj(sp._pairing_form(z_parts, s, k, center))
-        diff = q_zeta ** (-m) - q_center ** (-m)
-        return np.abs(diff) ** 2
-
-    if axis_centered:
-        # Radially symmetric in the lateral variable: the angular integral is
-        # the exact sphere factor.
-        rule = BoxRule((r_axis, t_axis, k_axis))
-        sphere_factor = 2.0 * (math.pi**n) / math.gamma(n)
-
-        def integrand(r, s, k):
-            z_parts = [r + 0.0j] + [np.zeros_like(r) + 0.0j] * (n - 1)
-            return difference_sq(z_parts, s, k)
-
-        lhs = sphere_factor * integrate_box(rule, integrand).real
-    else:
-        rule = BoxRule((r_axis, angle_axis(angle_count), t_axis, k_axis))
-
-        def integrand(r, theta, s, k):
-            return difference_sq([r * np.exp(1j * theta)], s, k)
-
-        lhs = integrate_box(rule, integrand).real
+    scale = (2.0**m / (kernel_constant(DirichletLog(m), n).value * math.gamma(m))) ** 2
+    lhs = scale * kernel_eval(DirichletLog(m, dotted=True), zeta, zeta).real
     point_sq = float(np.sum(np.abs(zeta.zeta_prime) ** 2)) + abs(zeta.zeta_last) ** 2
     envelope = (1.0 + point_sq) ** (2 * m + 1) / rho(zeta)
     return DifferenceIntegralReport(lhs=lhs, envelope=envelope, ratio=lhs / envelope)

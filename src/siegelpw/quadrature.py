@@ -45,7 +45,6 @@ __all__ = [
     "power_tail_axis",
     "angle_axis",
     "BoxRule",
-    "integrate_box",
     "monte_carlo",
 ]
 
@@ -441,19 +440,6 @@ class BoxRule:
             shape[i] = -1
             out.append(ax.nodes.reshape(shape))
         return out
-
-
-def integrate_box(rule: BoxRule, f: Callable[..., np.ndarray]) -> complex:
-    """Integrate ``f`` (broadcast-vectorized over the axis grids) against the
-    tensor rule; each axis's analytic weight/Jacobian is already in its
-    weights."""
-    vals = np.asarray(f(*rule.grids()))
-    full_shape = tuple(ax.node_count for ax in rule.axes)
-    vals = np.broadcast_to(vals, full_shape)
-    acc = vals
-    for i in range(len(rule.axes) - 1, -1, -1):
-        acc = np.tensordot(acc, rule.axes[i].weights, axes=([i], [0]))
-    return complex(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -311,11 +311,6 @@ class Composition:
         object.__setattr__(self, "maps", tuple(self.maps))
 
 
-Automorphism = (
-    HeisenbergTranslation | Dilation | Unitary | Inversion | Composition
-)
-
-
 def apply(phi, p: SiegelPoint) -> SiegelPoint:
     """Apply an automorphism to a point of the closed half-space; each
     generator acts on the chart coordinates and sets the height directly."""

@@ -238,6 +238,8 @@ NAN_CASES = {
     "dirichlet-mobius-invariance": [(kr, "mobius_invariance_check", lambda *args, **kwargs: math.nan)],
     "da-documented-value": [(da, "da_norm_integral_sq", lambda f: math.nan)],
     "da-monomial-identity": [(da, "da_norm_integral_sq", lambda f: math.nan)],
+    "dirichlet-difference-report": [(kr, "difference_integral_ratio",
+                                     lambda zeta, m: kr.DifferenceIntegralReport(math.nan, 1.0, math.nan))],
 }
 
 
@@ -285,6 +287,16 @@ class TestEvidenceRows:
         spec = next(spec for spec in cli._specs_for("all") if spec.check_id == check_id)
         result = cli._run_check(spec, cli.SuiteConfig(seed=1, pairs=4, fast=True))
         assert math.isnan(result.rel_error) and result.passed is False
+
+    @pytest.mark.parametrize("lhs,passed", [(2.0, True), (-2.0, False)])
+    def test_difference_report_passes_a_finite_non_negative_value(self, monkeypatch, lhs, passed):
+        # The row's tolerance is infinite: only a NaN error can fail it.
+        monkeypatch.setattr(kr, "difference_integral_ratio",
+                            lambda zeta, m: kr.DifferenceIntegralReport(lhs, 4.0, lhs / 4.0))
+        spec = next(spec for spec in cli._specs_for("all") if spec.check_id == "dirichlet-difference-report")
+        row = cli._run_check(spec, cli.SuiteConfig(seed=1)).to_row()
+        assert row["passed"] is passed
+        assert row["rel_error"] == (0.5 if passed else None)
 
 
 class TestAnchorFrameRows:

@@ -137,8 +137,9 @@ class TestHaarMeasure:
         rule = q.BoxRule(
             axes=(q.tan_axis(1.0, 6, 16), q.tan_axis(1.0, 6, 16), q.tan_axis(1.0, 6, 16))
         )
-        base = q.integrate_box(rule, bump)
-        moved = q.integrate_box(rule, translated)
+        weights = [axis.weights for axis in rule.axes]
+        base = np.einsum("ijk,i,j,k->", bump(*rule.grids()), *weights)
+        moved = np.einsum("ijk,i,j,k->", translated(*rule.grids()), *weights)
         assert abs(base - math.pi ** 1.5) < 1e-8
         assert abs(moved - base) / abs(base) < 1e-6
 

@@ -1102,22 +1102,43 @@ class TestDifferenceIntegral:
             assert report.envelope > 0.0
             assert report.ratio == report.lhs / report.envelope
 
-    def test_stable_under_refinement(self):
-        zeta = point([0.5 + 0.3j], -0.4, 0.7)
-        coarse = kr.difference_integral_ratio(zeta, 2)
-        fine = kr.difference_integral_ratio(
-            zeta, 2, radial=(4, 14), angle_count=20, time=(4, 14), height=(4, 14)
+    @pytest.mark.parametrize(
+        "zeta",
+        [
+            point([0.5 + 0.3j], -0.4, 0.7),
+            point([-0.2 + 0.6j], 0.3, 1.3),
+            point([0.0, 0.0], 0.5, 1.4),
+        ],
+        ids=["n1-anchor-a", "n1-anchor-b", "n2-axis"],
+    )
+    def test_matches_chart_seminorm(self, zeta):
+        # The integrand is (2^m / (C Gamma(m)))^2 times the squared height
+        # derivative of the dotted slice, whose chart seminorm is an
+        # independent quadrature of the same integral.  (Off-axis anchors at
+        # n = 2 need a 5-D grid beyond the pass's point budget.)
+        n = zeta.n
+        m = n + 1
+        dotted = kr.DirichletLog(m, dotted=True)
+        seminorm = sp.space_norm_sq(
+            kr.kernel_slice(dotted, zeta), kr.DirichletLog(m), kr.KERNEL_QUADRATURE_RULES
         )
-        assert abs(fine.lhs - coarse.lhs) / fine.lhs < 5e-3
+        scale = (2.0**m / (kr.kernel_constant(kr.DirichletLog(m), n).value * math.gamma(m))) ** 2
+        report = kr.difference_integral_ratio(zeta, m)
+        assert abs(report.lhs - scale * seminorm) / report.lhs < 1e-5
 
     def test_axis_anchor_two_dimensional(self):
         axis_point = point([0.0, 0.0], 0.5, 1.4)
         report = kr.difference_integral_ratio(axis_point, 2)
         assert math.isfinite(report.lhs) and report.lhs > 0.0
 
-    def test_off_axis_two_dimensional_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            kr.difference_integral_ratio(point([0.3, 0.1j], 0.0, 1.0), 2)
+    def test_off_axis_two_dimensional_is_rotation_invariant(self):
+        zeta = point([0.3, 0.1j], 0.0, 1.0)
+        report = kr.difference_integral_ratio(zeta, 2)
+        assert math.isfinite(report.lhs) and report.lhs > 0.0
+        # A unitary fixes the center, so the integral does not move.
+        rotation = Unitary(np.linalg.qr(np.array([[1.0, 2.0j], [0.5, -1.0 + 1.0j]]))[0])
+        rotated = kr.difference_integral_ratio(apply(rotation, zeta), 2)
+        assert abs(rotated.lhs - report.lhs) / report.lhs < 1e-12
 
     def test_order_validation(self):
         with pytest.raises(InvalidParameterError):

@@ -225,24 +225,32 @@ def test_nan_arguments_rejected(build, error):
         build()
 
 
+def integrate(rule, f):
+    """Contract ``f`` on the rule's sparse grids against each axis's weights."""
+    values = np.broadcast_to(f(*rule.grids()), tuple(ax.node_count for ax in rule.axes))
+    for axis in reversed(rule.axes):
+        values = values @ axis.weights
+    return complex(values)
+
+
 class TestBoxRule:
     def test_tan_axis_lorentzian(self):
         axis = q.tan_axis(scale=1.0, panels=6, order=20)
         rule = q.BoxRule(axes=(axis,))
-        got = q.integrate_box(rule, lambda x: 1.0 / (1.0 + x**2))
+        got = integrate(rule, lambda x: 1.0 / (1.0 + x**2))
         assert abs(got - math.pi) < 1e-12
 
     def test_tan_half_axis_lorentzian(self):
         axis = q.tan_half_axis(scale=1.0, panels=6, order=20)
         rule = q.BoxRule(axes=(axis,))
-        got = q.integrate_box(rule, lambda x: 1.0 / (1.0 + x**2))
+        got = integrate(rule, lambda x: 1.0 / (1.0 + x**2))
         assert abs(got - math.pi / 2.0) < 1e-12
 
     def test_power_tail_axis_beta_integral(self):
         # ∫_0^∞ x^0.5 (1+x)^{-4} dx = B(1.5, 2.5)
         axis = q.power_tail_axis(beta=0.5, split=1.0, panels=8, order=20)
         rule = q.BoxRule(axes=(axis,))
-        got = q.integrate_box(rule, lambda x: (1.0 + x) ** -4.0)
+        got = integrate(rule, lambda x: (1.0 + x) ** -4.0)
         exact = special.beta(1.5, 2.5)
         assert abs(got - exact) / exact < 1e-10
 
@@ -261,19 +269,19 @@ class TestBoxRule:
         # ∫_0^∞ x^{1.25} e^{-x} dx = Γ(2.25)
         axis = q.power_tail_axis(beta=1.25, split=2.0, panels=10, order=24)
         rule = q.BoxRule(axes=(axis,))
-        got = q.integrate_box(rule, lambda x: np.exp(-x))
+        got = integrate(rule, lambda x: np.exp(-x))
         assert abs(got - math.gamma(2.25)) / math.gamma(2.25) < 1e-9
 
     def test_angle_axis_bessel(self):
         # (2π)^{-1} ∫_0^{2π} e^{cos θ} dθ = I_0(1); trapezoid is spectral here.
         axis = q.angle_axis(count=24)
         rule = q.BoxRule(axes=(axis,))
-        got = q.integrate_box(rule, lambda t: np.exp(np.cos(t))) / (2.0 * math.pi)
+        got = integrate(rule, lambda t: np.exp(np.cos(t))) / (2.0 * math.pi)
         assert abs(got - special.i0(1.0)) < 1e-13
 
     def test_two_dimensional_gaussian(self):
         rule = q.BoxRule(axes=(q.tan_axis(1.0, 8, 20), q.tan_axis(1.0, 8, 20)))
-        got = q.integrate_box(rule, lambda x, y: np.exp(-(x**2) - y**2))
+        got = integrate(rule, lambda x, y: np.exp(-(x**2) - y**2))
         assert abs(got - math.pi) / math.pi < 1e-6
 
     def test_polar_disc_area(self):
@@ -281,7 +289,7 @@ class TestBoxRule:
         x, w = np.polynomial.legendre.leggauss(12)
         r_axis = q.Axis1D("legendre", {}, 0.5 * (x + 1.0), 0.5 * w)
         rule = q.BoxRule(axes=(r_axis, q.angle_axis(8)))
-        got = q.integrate_box(rule, lambda r, t: r * np.ones_like(t))
+        got = integrate(rule, lambda r, t: r * np.ones_like(t))
         assert abs(got - math.pi) < 1e-12
 
 
